@@ -11,35 +11,52 @@ type outcome = {
   notes : string list;
 }
 
-type fleet_opts = { fleet_hosts : int option; fleet_guests : int option; fleet_tenants : int option }
-
-let default_fleet = { fleet_hosts = None; fleet_guests = None; fleet_tenants = None }
-
-type vf_opts = {
-  vf_count : int option;  (* --vfs: SR-IOV functions per device/pool *)
-  vf_datapath : Bm_iobond.Vf.datapath option;  (* --datapath *)
+type ctx = {
+  quick : bool;
+  seed : int;
+  trace : Trace.t option;
+  trace_file : string option;
+  metrics : Metrics.t option;
+  faults : Fault.plan option;
+  scenario : Scenario.spec option;
+  policy : Bm_cloud.Policy.kind option;
+  topo : Bm_fabric.Topology.t option;
+  hosts : int option;
+  guests : int option;
+  tenants : int option;
+  vfs : int option;
+  datapath : Bm_iobond.Vf.datapath option;
+  jobs : int;
+  shards : int;
 }
 
-let default_vf = { vf_count = None; vf_datapath = None }
+let default =
+  {
+    quick = false;
+    seed = 2020;
+    trace = None;
+    trace_file = None;
+    metrics = None;
+    faults = None;
+    scenario = None;
+    policy = None;
+    topo = None;
+    hosts = None;
+    guests = None;
+    tenants = None;
+    vfs = None;
+    datapath = None;
+    jobs = 1;
+    shards = 1;
+  }
 
-type spec = {
-  id : string;
-  title : string;
-  paper_ref : string;
-  run :
-    scenario:string option ->
-    policy:string option ->
-    fleet:fleet_opts ->
-    vf:vf_opts ->
-    faults:Fault.plan option ->
-    trace:Trace.t option ->
-    metrics:Metrics.t option ->
-    topo:Bm_fabric.Topology.t option ->
-    shards:int ->
-    quick:bool ->
-    seed:int ->
-    outcome;
-}
+type spec = { id : string; title : string; paper_ref : string; run : ctx -> outcome }
+
+(* Every single-server testbed an experiment builds: the ctx's seed and
+   observability sinks, plus the experiment's own overrides. *)
+let testbed ?storage_kind ?storage_queue ?faults ?topology ctx =
+  Testbed.make ~seed:ctx.seed ?storage_kind ?storage_queue ?trace:ctx.trace ?metrics:ctx.metrics
+    ?faults ?topology ()
 
 let within ~tolerance ~target value =
   Float.abs (value -. target) /. Float.abs target <= tolerance
@@ -47,7 +64,7 @@ let within ~tolerance ~target value =
 (* ------------------------------------------------------------------ *)
 (* Table 1 *)
 
-let run_table1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_table1 _ =
   {
     id = "table1";
     title = "Table 1: comparison of three cloud services";
@@ -59,7 +76,7 @@ let run_table1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
 
-let run_table2 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick ~seed =
+let run_table2 { quick; seed; _ } =
   let vms = if quick then 30_000 else 300_000 in
   let rng = Rng.create ~seed in
   let s = Fleet.survey_exits rng ~vms in
@@ -86,7 +103,7 @@ let run_table2 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Fig. 1 *)
 
-let run_fig1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig1 { quick; seed; _ } =
   let vms = if quick then 2_000 else 20_000 in
   let hours = if quick then 8 else 24 in
   let rng = Rng.create ~seed in
@@ -128,7 +145,7 @@ let run_fig1 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ 
 (* ------------------------------------------------------------------ *)
 (* Table 3 *)
 
-let run_table3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_table3 _ =
   let rows =
     List.map
       (fun i ->
@@ -154,9 +171,9 @@ let run_table3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: SPEC CINT2006 *)
 
-let run_fig7 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick:_ ~seed =
+let run_fig7 ctx =
   let spec_on make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let inst = make tb in
     Spec_cint.run tb.Testbed.sim inst
   in
@@ -188,11 +205,11 @@ let run_fig7 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 8: STREAM *)
 
-let run_fig8 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig8 ({ quick; _ } as ctx) =
   let elements = if quick then 20_000_000 else 200_000_000 in
   let runs = if quick then 3 else 10 in
   let stream_on make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let inst = make tb in
     Stream.run tb.Testbed.sim inst ~elements ~runs ()
   in
@@ -225,10 +242,10 @@ let run_fig8 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 9: UDP PPS *)
 
-let run_fig9 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig9 ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 40.0 else Simtime.ms 400.0 in
   let pps_of pair =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let src, dst = pair tb in
     Netperf.udp_pps tb.Testbed.sim ~src ~dst ~senders:2 ~batch:32 ~duration ()
   in
@@ -258,10 +275,10 @@ let run_fig9 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: latency *)
 
-let run_fig10 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig10 ({ quick; _ } as ctx) =
   let count = if quick then 400 else 2000 in
   let lat pair path =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let a, b = pair tb in
     Sockperf.ping_pong tb.Testbed.sim ~a ~b ~path ~count ()
   in
@@ -297,10 +314,10 @@ let run_fig10 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
 (* ------------------------------------------------------------------ *)
 (* Fig. 11: storage latency *)
 
-let run_fig11 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig11 ({ quick; seed; _ } as ctx) =
   let duration = if quick then Simtime.ms 300.0 else Simtime.sec 4.0 in
   let fio_on make pattern =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let inst = make tb in
     Fio.run tb.Testbed.sim (Rng.create ~seed:(seed + 7)) inst ~pattern ~duration ()
   in
@@ -340,11 +357,11 @@ let nginx_rps_at tb ~server ~concurrency ~requests =
   Nginx.serve server ();
   Nginx.ab tb.Testbed.sim ~client ~server ~concurrency ~requests
 
-let run_fig12 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig12 ({ quick; _ } as ctx) =
   let concurrencies = if quick then [ 100; 400 ] else [ 50; 100; 200; 400; 800 ] in
   let per_level = if quick then 60 else 150 in
   let run_level make concurrency =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let server = make tb in
     nginx_rps_at tb ~server ~concurrency ~requests:(concurrency * per_level)
   in
@@ -375,24 +392,24 @@ let run_fig12 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
 (* ------------------------------------------------------------------ *)
 (* Fig. 13/14: MariaDB *)
 
-let sysbench_on ?trace ?metrics ~seed ~pattern ~duration make =
-  let tb = Testbed.make ~seed ?trace ?metrics () in
+let sysbench_on ctx ~pattern ~duration make =
+  let tb = testbed ctx in
   let server = make tb in
   let client = Testbed.client_box tb in
-  Mariadb.serve tb.Testbed.sim (Rng.create ~seed:(seed + 13)) server ();
+  Mariadb.serve tb.Testbed.sim (Rng.create ~seed:(ctx.seed + 13)) server ();
   Mariadb.sysbench tb.Testbed.sim ~client ~server ~pattern ~duration ()
 
-let run_mariadb ~id ~title ~patterns ~paper_notes ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_mariadb ~id ~title ~patterns ~paper_notes ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 200.0 else Simtime.sec 2.0 in
   let rows =
     List.map
       (fun pattern ->
         let bm =
-          sysbench_on ?trace ?metrics ~seed ~pattern ~duration (fun tb ->
+          sysbench_on ctx ~pattern ~duration (fun tb ->
               snd (Testbed.bm_guest tb))
         in
         let vm =
-          sysbench_on ?trace ?metrics ~seed ~pattern ~duration (fun tb ->
+          sysbench_on ctx ~pattern ~duration (fun tb ->
               snd (Testbed.vm_guest tb))
         in
         [
@@ -425,26 +442,26 @@ let run_fig14 =
 (* ------------------------------------------------------------------ *)
 (* Fig. 15/16: Redis *)
 
-let redis_on ?trace ?metrics ~seed make ~clients ~value_bytes ~requests =
-  let tb = Testbed.make ~seed ?trace ?metrics () in
+let redis_on ctx make ~clients ~value_bytes ~requests =
+  let tb = testbed ctx in
   let server = make tb in
   let client = Testbed.client_box tb in
   Redis_bench.serve tb.Testbed.sim server ();
   Redis_bench.benchmark tb.Testbed.sim ~client ~server ~clients ~value_bytes ~requests ()
 
-let run_fig15 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig15 ({ quick; _ } as ctx) =
   let clients_list = if quick then [ 1000; 4000 ] else [ 1000; 2000; 4000; 7000; 10000 ] in
   let requests = if quick then 8_000 else 40_000 in
   let rows =
     List.map
       (fun clients ->
         let bm =
-          redis_on ?trace ?metrics ~seed
+          redis_on ctx
             (fun tb -> snd (Testbed.bm_guest tb))
             ~clients ~value_bytes:64 ~requests
         in
         let vm =
-          redis_on ?trace ?metrics ~seed
+          redis_on ctx
             (fun tb -> snd (Testbed.vm_guest tb))
             ~clients ~value_bytes:64 ~requests
         in
@@ -464,19 +481,19 @@ let run_fig15 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
     notes = [ "Paper: bm 20-40% more requests/s across 1K..10K clients." ];
   }
 
-let run_fig16 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_fig16 ({ quick; _ } as ctx) =
   let sizes = if quick then [ 4; 1024 ] else [ 4; 16; 64; 256; 1024; 4096 ] in
   let requests = if quick then 8_000 else 40_000 in
   let results =
     List.map
       (fun value_bytes ->
         let bm =
-          redis_on ?trace ?metrics ~seed
+          redis_on ctx
             (fun tb -> snd (Testbed.bm_guest tb))
             ~clients:1000 ~value_bytes ~requests
         in
         let vm =
-          redis_on ?trace ?metrics ~seed
+          redis_on ctx
             (fun tb -> snd (Testbed.vm_guest tb))
             ~clients:1000 ~value_bytes ~requests
         in
@@ -524,9 +541,9 @@ let run_fig16 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~to
 (* ------------------------------------------------------------------ *)
 (* §2.3: nested virtualization *)
 
-let run_sec2_3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec2_3 ({ quick; seed; _ } as ctx) =
   let exec_time nested =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let host = Testbed.vm_host tb in
     let config = { (Kvm.default_config ~name:"vm") with Kvm.nested; host_load = 0.0 } in
     let vm = Kvm.create_vm host config in
@@ -539,7 +556,7 @@ let run_sec2_3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~t
     !elapsed
   in
   let io_lat nested =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
+    let tb = testbed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ctx in
     let host = Testbed.vm_host tb in
     let config =
       {
@@ -583,7 +600,7 @@ let run_sec2_3 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~t
 (* ------------------------------------------------------------------ *)
 (* §3.5: cost efficiency *)
 
-let run_sec3_5 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_sec3_5 _ =
   let d = Cost_model.density () in
   let vm_w = Cost_model.vm_watts_per_vcpu () in
   let bm_w = Cost_model.bm_single_board_watts_per_vcpu () in
@@ -611,11 +628,11 @@ let run_sec3_5 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:
 (* ------------------------------------------------------------------ *)
 (* §4.3 network: TCP throughput + unrestricted PPS *)
 
-let run_sec4_3net ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec4_3net ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   (* Cross-server throughput at the 10 Gbit/s cap. *)
   let tcp make =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let a, b = make tb in
     Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~duration ()
   in
@@ -637,7 +654,7 @@ let run_sec4_3net ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
   let bm_tp = tcp bm_cross in
   let vm_tp = tcp vm_cross in
   (* Unrestricted PPS on the bm pair. *)
-  let tb = Testbed.make ~seed ?trace ?metrics () in
+  let tb = testbed ctx in
   let unlimited = Bm_cloud.Limits.unlimited_net () in
   let _, a, b = Testbed.bm_pair ~net_limits:unlimited tb in
   let free =
@@ -669,17 +686,17 @@ let run_sec4_3net ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* §4.3 storage: unrestricted local SSD *)
 
-let run_sec4_3blk ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec4_3blk ({ quick; seed; _ } as ctx) =
   let duration = if quick then Simtime.ms 100.0 else Simtime.ms 800.0 in
   let unlimited () = Bm_cloud.Limits.unlimited_blk () in
   let small make =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
+    let tb = testbed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ctx in
     let inst = make tb in
     Fio.run tb.Testbed.sim (Rng.create ~seed) inst ~jobs:8 ~iodepth:2 ~block_bytes:4096
       ~pattern:Fio.Randread ~duration ()
   in
   let big make =
-    let tb = Testbed.make ~seed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ?trace ?metrics () in
+    let tb = testbed ~storage_kind:Bm_cloud.Blockstore.Local_ssd ctx in
     let inst = make tb in
     Fio.run tb.Testbed.sim (Rng.create ~seed) inst ~jobs:8 ~iodepth:4 ~block_bytes:(256 * 1024)
       ~pattern:Fio.Randread ~duration ()
@@ -717,9 +734,9 @@ let run_sec4_3blk ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* §6: ASIC IO-Bond ablation *)
 
-let run_sec6 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_sec6 ({ quick; _ } as ctx) =
   let probe profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _, inst = Testbed.bm_guest ~profile tb in
     let time = ref nan and accesses = ref 0 in
     Sim.spawn tb.Testbed.sim (fun () ->
@@ -732,7 +749,7 @@ let run_sec6 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
     (!time, !accesses)
   in
   let lat profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _, a, b = Testbed.bm_pair ~profile tb in
     let count = if quick then 300 else 1500 in
     (Sockperf.ping_pong tb.Testbed.sim ~a ~b ~path:Sockperf.Kernel ~count ()).Sockperf.avg_us
@@ -765,10 +782,10 @@ let run_sec6 ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
 (* How much does IO-Bond's register latency matter? Sweep the per-hop
    cost (the FPGA -> ASIC axis, extended) against the two things it
    touches: the emulated config path and end-to-end message latency. *)
-let run_ablation_reg ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_reg ({ quick; _ } as ctx) =
   let count = if quick then 200 else 1000 in
   let probe_and_lat profile =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _, inst = Testbed.bm_guest ~profile tb in
     let probe_us = ref nan in
     Sim.spawn tb.Testbed.sim (fun () ->
@@ -776,7 +793,7 @@ let run_ablation_reg ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
         (match inst.Instance.probe () with Ok _ -> () | Error e -> failwith e);
         probe_us := (Sim.clock () -. t0) /. 1e3);
     Testbed.run tb;
-    let tb2 = Testbed.make ~seed ?trace ?metrics () in
+    let tb2 = testbed ctx in
     let _, a, b = Testbed.bm_pair ~profile tb2 in
     let lat = Sockperf.ping_pong tb2.Testbed.sim ~a ~b ~path:Sockperf.Kernel ~count () in
     (!probe_us, lat.Sockperf.avg_us)
@@ -802,10 +819,10 @@ let run_ablation_reg ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
 
 (* How big must the DMA engine be? The paper picked 50 Gbit/s; sweep it
    against unrestricted guest throughput. *)
-let run_ablation_dma ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_dma ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let tput dma_gbit_s =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let server =
       Bm_hyp.Bm_hypervisor.create_server ~obs:tb.Testbed.obs tb.Testbed.sim tb.Testbed.rng
         ~fabric:tb.Testbed.fabric ~storage:tb.Testbed.storage ~dma_gbit_s ()
@@ -842,10 +859,10 @@ let run_ablation_dma ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
 
 (* How much do batched doorbells/PMD bursts buy? Sweep the burst size the
    guest stack hands to virtio. *)
-let run_ablation_batch ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_batch ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let pps batch =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _, a, b = Testbed.bm_pair ~net_limits:(Bm_cloud.Limits.unlimited_net ()) tb in
     let r = Netperf.udp_pps tb.Testbed.sim ~src:a ~dst:b ~senders:8 ~batch ~duration () in
     r.Netperf.received_pps
@@ -868,10 +885,10 @@ let run_ablation_batch ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~me
 (* S6's offload plan: with IO-Bond classifying flows, known traffic
    bypasses the bm-hypervisor's PMD entirely. Measure PPS and base-core
    utilization with and without it. *)
-let run_ablation_offload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_ablation_offload ({ quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 15.0 else Simtime.ms 80.0 in
   let run offload =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let server =
       Bm_hyp.Bm_hypervisor.create_server ~obs:tb.Testbed.obs tb.Testbed.sim tb.Testbed.rng
         ~fabric:tb.Testbed.fabric ~storage:tb.Testbed.storage ()
@@ -965,7 +982,7 @@ let mttr_of (plan : Fault.plan) completions =
       |> Option.map (fun c -> c -. e.Fault.at))
     plan.Fault.events
 
-let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_availability ({ faults; quick; seed; _ } as ctx) =
   let workers = if quick then 2 else 4 in
   let plan =
     match faults with
@@ -984,12 +1001,12 @@ let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metric
   in
   let horizon = plan.Fault.horizon_ns in
   let run_bm ?faults () =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb = testbed ?faults ctx in
     let _server, inst = Testbed.bm_guest tb in
     read_stream tb inst ~workers ~horizon_ns:horizon
   in
   let run_vm ?faults () =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb = testbed ?faults ctx in
     let _host, inst = Testbed.vm_guest tb in
     read_stream tb inst ~workers ~horizon_ns:horizon
   in
@@ -1046,7 +1063,7 @@ let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metric
   (* Base-server failure: measure the blackout a surviving board's
      live migration would pay, for the notes below. *)
   let live_blackout_ns =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _server, inst = Testbed.bm_guest tb in
     let stats = ref None in
     Sim.spawn tb.Testbed.sim (fun () ->
@@ -1086,7 +1103,7 @@ let run_availability ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metric
 (* ------------------------------------------------------------------ *)
 (* Evacuation after a base-server failure *)
 
-let run_evacuation ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metrics:_ ~topo:_ ~shards:_ ~quick:_ ~seed:_ =
+let run_evacuation _ =
   let open Bm_cloud in
   let strategies =
     [
@@ -1166,7 +1183,7 @@ let run_evacuation ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace:_ ~metr
    storage admission queue, drop-tail backlogs. The acceptance shape is
    the hockey stick — bounded goodput stays at the ceiling with flat
    latency while blocking latency diverges with the backlog. *)
-let run_overload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
+let run_overload ({ faults; quick; _ } as ctx) =
   let open Bm_cloud in
   let net_duration = if quick then Simtime.ms 8.0 else Simtime.ms 60.0 in
   let blk_duration = if quick then Simtime.ms 40.0 else Simtime.ms 250.0 in
@@ -1177,7 +1194,7 @@ let run_overload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~t
   let net_run ?faults kind bounded mult =
     let policy = if bounded then Limits.Shed else Limits.Block in
     let limits = Limits.cloud_net ~policy () in
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb = testbed ?faults ctx in
     let src, dst =
       match kind with
       | `Bm ->
@@ -1197,7 +1214,7 @@ let run_overload ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults ~trace ~metrics ~t
        a queue deep enough that admission never refuses (the pre-PR
        behaviour, where the backlog hides inside the storage service). *)
     let storage_queue = if bounded then 64 else 1_000_000 in
-    let tb = Testbed.make ~seed ~storage_queue ?trace ?metrics ?faults () in
+    let tb = testbed ~storage_queue ?faults ctx in
     let inst =
       match kind with
       | `Bm -> snd (Testbed.bm_guest ~blk_limits tb)
@@ -1354,16 +1371,16 @@ let link_note net ~now =
       (Report.si (float_of_int s.delivered_pkts))
       (Report.si (float_of_int s.dropped_pkts))
 
-let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_rr ({ topo; quick; _ } as ctx) =
   let count = if quick then 400 else 2000 in
   let rr tb (a, b) = Netperf.tcp_rr tb.Testbed.sim ~src:a ~dst:b ~count () in
   (* On-host baseline: the pre-fabric fast path, same server. *)
-  let tb0 = Testbed.make ~seed ?trace ?metrics () in
+  let tb0 = testbed ctx in
   let _, a0, b0 = Testbed.bm_pair tb0 in
   let on_host = rr tb0 (a0, b0) in
   (* Cross-host over an idle leaf-spine: hosts in different racks. *)
   let topo_idle = Option.value topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ()) in
-  let tb1 = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
+  let tb1 = testbed ~topology:topo_idle ctx in
   let bm_pair1 = xhost_bm_pair tb1 in
   let idle = rr tb1 bm_pair1 in
   let net1 = Option.get tb1.Testbed.net in
@@ -1371,7 +1388,7 @@ let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics 
      request path: queueing delay without drops (trains of 30 bursts
      stay under the 64-burst queues). *)
   let topo_hot = Topology.clos ~hosts:2 ~tors:2 ~spines:1 ~spine_gbit_s:10.0 () in
-  let tb2 = Testbed.make ~seed ?trace ?metrics ~topology:topo_hot () in
+  let tb2 = testbed ~topology:topo_hot ctx in
   let bm_pair2 = xhost_bm_pair tb2 in
   let net2 = Option.get tb2.Testbed.net in
   background_trains tb2.Testbed.sim net2 ~src_host:0 ~dst_host:1 ~burst_bytes:15_000
@@ -1379,7 +1396,7 @@ let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics 
     ~until:(if quick then Simtime.ms 150.0 else Simtime.ms 600.0);
   let hot = rr tb2 bm_pair2 in
   (* vm-guests across the same idle fabric. *)
-  let tb3 = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
+  let tb3 = testbed ~topology:topo_idle ctx in
   let vm_pair = xhost_vm_pair tb3 in
   let vm_idle = rr tb3 vm_pair in
   (* An uncongested transaction pays, on top of the on-host RTT, the
@@ -1430,12 +1447,12 @@ let run_xhost_rr ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics 
       ];
   }
 
-let run_xhost_stream ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_stream ({ topo; quick; _ } as ctx) =
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let stream tb (a, b) = Netperf.tcp_stream tb.Testbed.sim ~src:a ~dst:b ~duration () in
   let topo_idle = Option.value topo ~default:(Topology.clos ~hosts:2 ~tors:2 ~spines:2 ()) in
   let bm_cell topology =
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology () in
+    let tb = testbed ~topology ctx in
     let pair = xhost_bm_pair tb in
     let r = stream tb pair in
     (r, Option.get tb.Testbed.net, Sim.now tb.Testbed.sim)
@@ -1447,7 +1464,7 @@ let run_xhost_stream ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
     bm_cell (Topology.clos ~hosts:2 ~tors:2 ~spines:1 ~spine_gbit_s:5.0 ())
   in
   let vm_idle =
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology:topo_idle () in
+    let tb = testbed ~topology:topo_idle ctx in
     let pair = xhost_vm_pair tb in
     stream tb pair
   in
@@ -1486,7 +1503,7 @@ let run_xhost_stream ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metr
       ];
   }
 
-let run_xhost_migrate ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards:_ ~quick ~seed =
+let run_xhost_migrate ({ topo; quick; seed; _ } as ctx) =
   let mem_gb = if quick then 4 else 16 in
   let dirty = 2.0 in
   let migrate_in tb bm via =
@@ -1503,13 +1520,13 @@ let run_xhost_migrate ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~met
   in
   (* Analytic dedicated link — the pre-fabric model. *)
   let analytic =
-    let tb = Testbed.make ~seed ?trace ?metrics () in
+    let tb = testbed ctx in
     let _, bm = Testbed.bm_guest tb in
     migrate_in tb bm None
   in
   let fabric_cell ~flood =
     let topology = Option.value topo ~default:(Topology.two_host ()) in
-    let tb = Testbed.make ~seed ?trace ?metrics ~topology () in
+    let tb = testbed ~topology ctx in
     let _, bm = Testbed.bm_guest tb in
     let net = Option.get tb.Testbed.net in
     if flood then
@@ -1561,14 +1578,14 @@ let run_xhost_migrate ~scenario:_ ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~met
 (* ------------------------------------------------------------------ *)
 (* Fleet scale: the live fleet simulation *)
 
-let run_fleet_scale ~scenario:_ ~policy:_ ~fleet ~vf:_ ~faults:_ ~trace ~metrics ~topo ~shards ~quick ~seed =
+let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; shards; quick; seed; _ } =
   let base = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   let cfg =
     {
       base with
-      Fleet.Live.hosts = Option.value fleet.fleet_hosts ~default:base.Fleet.Live.hosts;
-      guests = Option.value fleet.fleet_guests ~default:base.Fleet.Live.guests;
-      tenants = Option.value fleet.fleet_tenants ~default:base.Fleet.Live.tenants;
+      Fleet.Live.hosts = Option.value hosts ~default:base.Fleet.Live.hosts;
+      guests = Option.value guests ~default:base.Fleet.Live.guests;
+      tenants = Option.value tenants ~default:base.Fleet.Live.tenants;
     }
   in
   let live = Fleet.Live.build ?trace ?metrics ?topo ~seed cfg in
@@ -1661,27 +1678,9 @@ let run_fleet_scale ~scenario:_ ~policy:_ ~fleet ~vf:_ ~faults:_ ~trace ~metrics
 (* ------------------------------------------------------------------ *)
 (* Game day: composed fault timeline + degradation ladder + SLO scores *)
 
-let policy_kind ~experiment policy =
-  match policy with
-  | None -> Bm_cloud.Policy.Ladder
-  | Some name -> (
-    match Bm_cloud.Policy.of_name name with
-    | Some kind -> kind
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown policy %S (try: %s)" experiment name
-           (String.concat ", " (List.map Bm_cloud.Policy.name Bm_cloud.Policy.all))))
-
-let run_game_day ~scenario ~policy ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
-  let spec =
-    match scenario with
-    | Some s -> (
-      match Scenario.parse_spec s with
-      | Ok spec -> spec
-      | Error e -> invalid_arg (Printf.sprintf "game_day: %s" e))
-    | None -> Scenario.default_spec ~seed ()
-  in
-  let kind = policy_kind ~experiment:"game_day" policy in
+let run_game_day { scenario; policy; trace; metrics; shards; quick; seed; _ } =
+  let spec = Option.value scenario ~default:(Scenario.default_spec ~seed ()) in
+  let kind = Option.value policy ~default:Bm_cloud.Policy.Ladder in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* The same timeline twice: open loop, then with the degradation
      policy closed around it. The scorecard delta is the experiment.
@@ -1750,15 +1749,8 @@ let run_game_day ~scenario ~policy ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~top
    every entrant, so the table differences are pure policy: which levers
    each pulled, and what that bought per tier. Rows are ranked by total
    SLOs met, Gold met breaking ties; the open-loop row is the floor. *)
-let run_policy_race ~scenario ~policy:_ ~fleet:_ ~vf:_ ~faults:_ ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
-  let spec =
-    match scenario with
-    | Some s -> (
-      match Scenario.parse_spec s with
-      | Ok spec -> spec
-      | Error e -> invalid_arg (Printf.sprintf "policy_race: %s" e))
-    | None -> Scenario.default_spec ~seed ()
-  in
+let run_policy_race { scenario; trace; metrics; shards; quick; seed; _ } =
+  let spec = Option.value scenario ~default:(Scenario.default_spec ~seed ()) in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* One independent arm per entrant (plus the open-loop floor), each
      building its own fleet from the same seeded spec: [--shards >= 2]
@@ -1844,15 +1836,15 @@ let percentile_of sorted p =
 
 (* One guest per VF, Poisson arrivals per queue, raw device — the
    arbitration model in isolation, before any hypervisor is involved. *)
-let run_vf_scale ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
+let run_vf_scale ({ vfs; faults; shards; quick; _ } as ctx) =
   let vfs_list =
-    match vf.vf_count with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
+    match vfs with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
   in
   let queues_list = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   let per_vf = if quick then 300 else 1500 in
   let cells = List.concat_map (fun v -> List.map (fun q -> (v, q)) queues_list) vfs_list in
   let run_cell (vfs, queues) =
-    let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb = testbed ?faults ctx in
     let dev =
       Vf.create_device ~obs:tb.Testbed.obs ~fault:tb.Testbed.fault tb.Testbed.sim
         ~profile:Bm_iobond.Profile.Fpga ~vfs ~queues_per_vf:queues ()
@@ -1914,11 +1906,11 @@ let run_vf_scale ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~top
 (* Hot-reassignment under load: seqno bookkeeping proves no completion
    is lost or duplicated across the ownership swaps; the device's
    blackout log gives the distribution. *)
-let run_vf_reassign ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards:_ ~quick ~seed =
-  let vfs = max 2 (Option.value vf.vf_count ~default:4) in
+let run_vf_reassign ({ vfs; faults; quick; _ } as ctx) =
+  let vfs = max 2 (Option.value vfs ~default:4) in
   let rounds = if quick then 8 else 32 in
   let per_vf = if quick then 400 else 1600 in
-  let tb = Testbed.make ~seed ?trace ?metrics ?faults () in
+  let tb = testbed ?faults ctx in
   let dev =
     Vf.create_device ~obs:tb.Testbed.obs ~fault:tb.Testbed.fault tb.Testbed.sim
       ~profile:Bm_iobond.Profile.Fpga ~vfs ~queues_per_vf:2 ()
@@ -2011,11 +2003,9 @@ let run_vf_reassign ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~
 
 (* The paper's Fig. 9/10 co-resident pairs, re-run per datapath: the
    shadow-vring poll loop against direct assignment, bm and vm. *)
-let run_vf_ablation ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~topo:_ ~shards ~quick ~seed =
-  let datapaths =
-    match vf.vf_datapath with Some d -> [ d ] | None -> Vf.all_datapaths
-  in
-  let vfs = Option.value vf.vf_count ~default:8 in
+let run_vf_ablation ({ vfs; datapath; faults; shards; quick; _ } as ctx) =
+  let datapaths = match datapath with Some d -> [ d ] | None -> Vf.all_datapaths in
+  let vfs = Option.value vfs ~default:8 in
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
   let pings = if quick then 300 else 1500 in
   let bm_pair dp tb =
@@ -2037,10 +2027,10 @@ let run_vf_ablation ~scenario:_ ~policy:_ ~fleet:_ ~vf ~faults ~trace ~metrics ~
   let cells = List.concat_map (fun dp -> [ (`Bm, dp); (`Vm, dp) ]) datapaths in
   let run_cell (sub, dp) =
     let pair tb = match sub with `Bm -> bm_pair dp tb | `Vm -> vm_pair dp tb in
-    let tb1 = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb1 = testbed ?faults ctx in
     let a, b = pair tb1 in
     let pps = Netperf.udp_pps tb1.Testbed.sim ~src:a ~dst:b ~senders:2 ~batch:32 ~duration () in
-    let tb2 = Testbed.make ~seed ?trace ?metrics ?faults () in
+    let tb2 = testbed ?faults ctx in
     let a2, b2 = pair tb2 in
     let lat = Sockperf.ping_pong tb2.Testbed.sim ~a:a2 ~b:b2 ~path:Sockperf.Kernel ~count:pings () in
     [
@@ -2114,58 +2104,34 @@ let all =
 let find id = List.find_opt (fun s -> s.id = id) all
 let ids () = List.map (fun s -> s.id) all
 
-(* Trace/metrics sinks are single mutable buffers shared by every cell;
-   recording from several domains would race, so their presence forces a
-   sequential sweep. Cells themselves share nothing: each builds its own
-   simulator, RNG and testbed from the seed. *)
-let effective_jobs ~trace ~metrics jobs =
-  if trace <> None || metrics <> None then 1 else max 1 jobs
+let unknown id =
+  Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
 
-(* Same reasoning one level down: intra-run sharding replays callbacks
-   that feed the shared sinks, so trace/metrics force a sequential run
-   inside each experiment too. Output is byte-identical either way —
-   sharding only changes which domain executes what. *)
-let effective_shards ~trace ~metrics shards =
-  if trace <> None || metrics <> None then 1 else max 1 shards
+(* Trace/metrics sinks are single mutable buffers shared by every cell,
+   and intra-run sharding replays callbacks that feed them; recording
+   from several domains would race, so their presence forces a fully
+   sequential run. Cells themselves share nothing: each builds its own
+   simulator, RNG and testbed from the seed, so output is byte-identical
+   either way. *)
+let serialize ctx =
+  if ctx.trace <> None || ctx.metrics <> None then { ctx with jobs = 1; shards = 1 }
+  else { ctx with jobs = max 1 ctx.jobs; shards = max 1 ctx.shards }
 
-let run_one ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(shards = 1) id =
-  let shards = effective_shards ~trace ~metrics shards in
+let run ctx targets =
+  let ctx = serialize ctx in
+  let targets = if targets = [] then ids () else targets in
+  Parallel.map ~jobs:ctx.jobs
+    (fun id -> match find id with Some spec -> Ok (spec.run ctx) | None -> unknown id)
+    targets
+  |> List.combine targets
+
+let run_one ?(quick = default.quick) ?(seed = default.seed) ?trace ?metrics id =
   match find id with
-  | None -> Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
-  | Some spec ->
-    Ok (spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed)
+  | Some spec -> Ok (spec.run (serialize { default with quick; seed; trace; metrics }))
+  | None -> unknown id
 
-let run_many ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(jobs = 1) ?(shards = 1) targets =
-  let specs =
-    List.map
-      (fun id ->
-        match find id with
-        | Some spec -> Ok spec
-        | None ->
-          Error
-            (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ()))))
-      targets
-  in
-  let jobs = effective_jobs ~trace ~metrics jobs in
-  let shards = effective_shards ~trace ~metrics shards in
-  Parallel.map ~jobs
-    (fun spec ->
-      match spec with
-      | Error _ as e -> e
-      | Ok spec ->
-        Ok (spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed))
-    specs
-  |> List.map2 (fun id r -> (id, r)) targets
-
-let run_all ?(quick = false) ?(seed = 2020) ?(fleet = default_fleet) ?(vf = default_vf) ?scenario
-    ?policy ?faults ?trace ?metrics ?topo ?(jobs = 1) ?(shards = 1) () =
-  let jobs = effective_jobs ~trace ~metrics jobs in
-  let shards = effective_shards ~trace ~metrics shards in
-  Parallel.map ~jobs
-    (fun spec -> spec.run ~scenario ~policy ~fleet ~vf ~faults ~trace ~metrics ~topo ~shards ~quick ~seed)
-    all
+let run_many ?(quick = default.quick) ?(seed = default.seed) ?trace ?metrics ?(jobs = 1) targets =
+  run { default with quick; seed; trace; metrics; jobs } targets
 
 let print_outcome (o : outcome) =
   print_endline "";

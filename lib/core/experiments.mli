@@ -16,132 +16,78 @@ type outcome = {
   notes : string list;
 }
 
-type fleet_opts = {
-  fleet_hosts : int option;  (** override the fleet's host count *)
-  fleet_guests : int option;  (** override the guest population *)
-  fleet_tenants : int option;  (** override the tenant count *)
+type ctx = {
+  quick : bool;  (** CI-sized populations and durations *)
+  seed : int;  (** every simulator's seed (default 2020) *)
+  trace : Bm_engine.Trace.t option;
+      (** threaded into every testbed; recording is pure observation *)
+  trace_file : string option;
+      (** where the front ends write [trace] after the run ({!Cli.print_results});
+          no experiment reads it *)
+  metrics : Bm_engine.Metrics.t option;  (** same contract as [trace] *)
+  faults : Bm_engine.Fault.plan option;
+      (** armed in the testbeds of the experiments that model failure
+          ([availability], [overload], [vf_*]) *)
+  scenario : Scenario.spec option;
+      (** [game_day]/[policy_race] timeline; [None] is
+          {!Scenario.default_spec} at [seed] *)
+  policy : Bm_cloud.Policy.kind option;
+      (** the policy [game_day] closes the loop with; [None] is [Ladder].
+          [policy_race] runs every policy regardless *)
+  topo : Bm_fabric.Topology.t option;
+      (** fabric override for [xhost_*] and [fleet_scale] *)
+  hosts : int option;  (** [fleet_scale] host count; [None] keeps the config's *)
+  guests : int option;  (** [fleet_scale] guest population *)
+  tenants : int option;  (** [fleet_scale] tenant count *)
+  vfs : int option;  (** SR-IOV functions per device/pool in the [vf_*] experiments *)
+  datapath : Bm_iobond.Vf.datapath option;
+      (** restrict [vf_ablation] to one datapath; [None] runs all three *)
+  jobs : int;  (** experiments run at once on separate domains ({!run}) *)
+  shards : int;
+      (** intra-run parallelism: [fleet_scale] carries its east-west flow
+          phase on that many fabric replicas, [game_day]/[policy_race]/
+          [vf_scale]/[vf_ablation] run independent arms on up to that
+          many domains *)
 }
-(** Size overrides for the fleet-scale experiments ([fleet_scale]);
-    [None] fields keep the experiment's quick/full default. Other
-    experiments ignore them. *)
+(** Everything an experiment may read. Each experiment reads only the
+    fields it uses; output is byte-identical for any [jobs]/[shards], and
+    same ctx ⇒ bit-identical outcome. The flags of both front ends
+    ({!Cli.flags}) build one. *)
 
-val default_fleet : fleet_opts
-(** All [None]. *)
+val default : ctx
+(** Full scale, seed 2020, no sinks or overrides, [jobs = shards = 1]. *)
 
-type vf_opts = {
-  vf_count : int option;
-      (** [--vfs]: virtual functions per SR-IOV device/pool in the
-          [vf_*] experiments; [None] keeps each experiment's default *)
-  vf_datapath : Bm_iobond.Vf.datapath option;
-      (** [--datapath]: restrict [vf_ablation] to one datapath column;
-          [None] runs all three. Other experiments ignore it. *)
-}
-(** Knobs for the SR-IOV experiments ([vf_scale], [vf_reassign],
-    [vf_ablation]); everything else ignores them. *)
-
-val default_vf : vf_opts
-(** All [None]. *)
-
-type spec = {
-  id : string;
-  title : string;
-  paper_ref : string;  (** table/figure/section in the paper *)
-  run :
-    scenario:string option ->
-    policy:string option ->
-    fleet:fleet_opts ->
-    vf:vf_opts ->
-    faults:Bm_engine.Fault.plan option ->
-    trace:Bm_engine.Trace.t option ->
-    metrics:Bm_engine.Metrics.t option ->
-    topo:Bm_fabric.Topology.t option ->
-    shards:int ->
-    quick:bool ->
-    seed:int ->
-    outcome;
-      (** [trace]/[metrics] are threaded into every testbed the experiment
-          builds. Recording is pure observation: results are bit-identical
-          with and without sinks attached. [faults] arms a fault plan in
-          those testbeds; experiments that model no failure semantics
-          ignore it. [topo] overrides the fabric topology in the
-          cross-host experiments ([xhost_*]) and the fleet experiments;
-          single-server experiments ignore it. [fleet] resizes the
-          fleet-scale experiments. [scenario] is the raw
-          ["SEED:SPEC"] string of [--scenario], consumed by the
-          [game_day] and [policy_race] experiments
-          ({!Scenario.parse_spec}); everything else ignores it.
-          [policy] names the degradation policy ({!Bm_cloud.Policy.of_name})
-          the [game_day] experiment closes the loop with — default
-          ["ladder"]; [policy_race] runs every policy regardless.
-          [shards] enables intra-run parallelism where an experiment
-          supports it: [fleet_scale] carries its east-west flow phase
-          on that many fabric replicas ({!Fleet.Live.serve}), while
-          [game_day] and [policy_race] run their independent scenario
-          arms on up to that many domains; every other experiment
-          ignores it. Output is byte-identical for any [shards].
-          Same seed + same plan ⇒ bit-identical outcome. *)
-}
+type spec = { id : string; title : string; paper_ref : string; run : ctx -> outcome }
 
 val all : spec list
 val find : string -> spec option
 val ids : unit -> string list
 
+val run : ctx -> string list -> (string * (outcome, string) result) list
+(** Run the named experiments (every one when the list is empty), up to [ctx.jobs] at a time on separate
+    domains ({!Parallel.map}); results come back in argument order, so
+    output is byte-identical for any [jobs]. Unknown ids surface as
+    [Error] without aborting the rest. Because [trace] and [metrics]
+    sinks are shared mutable buffers, passing either forces
+    [jobs = shards = 1]. *)
+
 val run_one :
   ?quick:bool ->
   ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
   ?trace:Bm_engine.Trace.t ->
   ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
-  ?shards:int ->
   string ->
   (outcome, string) result
-(** [shards] (default 1) is passed to the experiment for intra-run
-    parallelism (see {!spec}); like [jobs] in {!run_many}, a [trace] or
-    [metrics] sink forces it back to 1. *)
+(** One experiment on the calling domain, over {!default}. *)
 
 val run_many :
   ?quick:bool ->
   ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
   ?trace:Bm_engine.Trace.t ->
   ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
   ?jobs:int ->
-  ?shards:int ->
   string list ->
   (string * (outcome, string) result) list
-(** Run the named experiments, up to [jobs] (default 1) at a time on
-    separate domains ({!Parallel.map}); results come back in argument
-    order, so output is byte-identical for any [jobs]. Unknown ids
-    surface as [Error] without aborting the rest. Because [trace] and
-    [metrics] sinks are shared mutable buffers, passing either forces
-    [jobs = 1] (and [shards = 1] likewise). *)
-
-val run_all :
-  ?quick:bool ->
-  ?seed:int ->
-  ?fleet:fleet_opts ->
-  ?vf:vf_opts ->
-  ?scenario:string ->
-  ?policy:string ->
-  ?faults:Bm_engine.Fault.plan ->
-  ?trace:Bm_engine.Trace.t ->
-  ?metrics:Bm_engine.Metrics.t ->
-  ?topo:Bm_fabric.Topology.t ->
-  ?jobs:int ->
-  ?shards:int ->
-  unit ->
-  outcome list
-(** Every registered experiment, same parallelism contract as
-    {!run_many}. *)
+(** {!run} over {!default} with the given fields. *)
 
 val print_outcome : outcome -> unit

@@ -10,9 +10,6 @@ let all_datapaths = [ Vring; Passthrough; Sliced ]
 
 let datapath_name = function Vring -> "vring" | Passthrough -> "passthrough" | Sliced -> "vf"
 
-let datapath_of_name s =
-  List.find_opt (fun d -> datapath_name d = s) all_datapaths
-
 (* ------------------------------------------------------------------ *)
 (* FSM *)
 
@@ -140,10 +137,12 @@ let rec dispatch_loop d vf =
     (c.c_completed_ns -. c.c_submitted_ns);
   dispatch_loop d vf
 
+let max_vfs = 8 * Profile.max_labeled_vfs
+
 let create_device ?(obs = Obs.none) ?(fault = Fault.none) sim ~profile ?gbit_s ?(vfs = 8)
     ?(queues_per_vf = 2) ?(queue_depth = 256) ?(cq_depth = 256) () =
-  if vfs < 1 || vfs > 8 * Profile.max_labeled_vfs then
-    invalid_arg "Vf.create_device: 1..64 virtual functions";
+  if vfs < 1 || vfs > max_vfs then
+    invalid_arg (Printf.sprintf "Vf.create_device: 1..%d virtual functions" max_vfs);
   if queues_per_vf < 1 then invalid_arg "Vf.create_device: queues_per_vf must be >= 1";
   if queue_depth < 1 || cq_depth < 1 then invalid_arg "Vf.create_device: ring depth must be >= 1";
   let total_gbit_s = Option.value gbit_s ~default:(Profile.dma_gbit_s profile) in

@@ -40,7 +40,6 @@ type datapath =
 
 val all_datapaths : datapath list
 val datapath_name : datapath -> string
-val datapath_of_name : string -> datapath option
 
 (** {2 Lifecycle FSM} *)
 
@@ -69,6 +68,9 @@ type completion = {
 type dev
 type vf
 
+val max_vfs : int
+(** Virtual functions per physical device: {!Profile.max_labeled_vfs} × 8. *)
+
 val create_device :
   ?obs:Obs.t ->
   ?fault:Fault.t ->
@@ -81,8 +83,8 @@ val create_device :
   ?cq_depth:int ->
   unit ->
   dev
-(** A physical function with [vfs] virtual functions (default 8, max
-    {!Profile.max_labeled_vfs} × 8 = 64), [queues_per_vf] queue pairs
+(** A physical function with [vfs] virtual functions (default 8, at
+    most {!max_vfs}), [queues_per_vf] queue pairs
     each (default 2), descriptor rings of [queue_depth] entries
     (default 256) and completion rings of [cq_depth] entries (default
     256, [Block] policy — a slow consumer backpressures the device
