@@ -6,12 +6,15 @@
    Usage:
      engine_bench.exe [--quick] [--seed N] [--out FILE]
 
-   Six sections:
+   Seven sections:
      hot_lane   events/sec of zero-delay self-rescheduling callbacks
                 (FIFO hot lane) vs the same chains with a 1 ns delay
                 (binary-heap lane)
-     alloc      GC-allocated words per event on both lanes (the
-                zero-alloc hot-path gate CI enforces)
+     timer      host ns per Sim.schedule_timer + Sim.cancel pair with a
+                window of outstanding timers, each op cancelling the
+                oldest (the RPC deadline pattern)
+     alloc      GC-allocated words per event on both lanes and per
+                timer op (the allocation gates CI enforces)
      pmd_batch  wall-clock of a UDP PPS run between two bm-guests with
                 the PMD drained one descriptor per fiber (batch=1, the
                 bit-identical default) vs burst-of-32
@@ -99,6 +102,31 @@ let lane_events_per_sec ~delay ~chains ~events =
     Sim.events_executed sim,
     dt,
     words /. float_of_int (Sim.events_executed sim) )
+
+(* --- cancellable timers ------------------------------------------------ *)
+
+(* [window] timers stay outstanding; each op cancels the oldest and arms
+   a new one, as RPC deadlines are armed per request and cancelled when
+   the reply lands. Pseudo-random delays spread the keys, so cancels hit
+   entries throughout the heap rather than only near its root. *)
+let timer_ops ~window ~ops =
+  let sim = Sim.create () in
+  let cb () = () in
+  let delay k = float_of_int (1 + (k * 7919 mod 100_000)) in
+  let ring = Array.init window (fun k -> Sim.schedule_timer sim ~delay:(delay k) cb) in
+  let a0 = allocated_words () in
+  let (), dt =
+    time (fun () ->
+        for k = 0 to ops - 1 do
+          let i = k mod window in
+          Sim.cancel sim ring.(i);
+          ring.(i) <- Sim.schedule_timer sim ~delay:(delay (window + k)) cb
+        done)
+  in
+  let words = allocated_words () -. a0 in
+  assert (Sim.pending_events sim = window);
+  Sim.stop sim;
+  (dt, dt *. 1e9 /. float_of_int ops, words /. float_of_int ops)
 
 (* --- PMD batching ----------------------------------------------------- *)
 
@@ -250,6 +278,10 @@ let () =
   let hot_eps, hot_events, hot_s, hot_wpe = lane_events_per_sec ~delay:0.0 ~chains ~events in
   progress "heap lane";
   let heap_eps, heap_events, heap_s, heap_wpe = lane_events_per_sec ~delay:1.0 ~chains ~events in
+  let timer_window = 1_024 in
+  let timer_n = if !quick then 200_000 else 2_000_000 in
+  progress "timers: %d ops, window %d" timer_n timer_window;
+  let timer_s, timer_ns, timer_wpo = timer_ops ~window:timer_window ~ops:timer_n in
   let duration = if !quick then 2_000_000.0 else 20_000_000.0 in
   progress "pmd batch=1 (%.0f ms simulated)" (duration /. 1e6);
   let pps1, ev1, wall1 = pmd_run ~batch:1 ~duration in
@@ -278,7 +310,8 @@ let () =
   p "{\n";
   p "  \"seed\": %d,\n" !seed;
   p "  \"quick\": %b,\n" !quick;
-  p "  \"note\": \"committed baselines are measured on a single-core container; wall-clock ratios for --jobs/--shards are skipped there and only the determinism (outcomes_identical) and alloc gates are load-bearing\",\n";
+  if not multicore then
+    p "  \"note\": \"single-core host: wall-clock ratios for --jobs/--shards are skipped and only the determinism (outcomes_identical) and alloc gates are load-bearing\",\n";
   p "  \"recommended_domains\": %d,\n" rec_domains;
   p "  \"hot_lane\": {\n";
   p "    \"chains\": %d,\n" chains;
@@ -288,9 +321,16 @@ let () =
     heap_s heap_eps;
   p "    \"speedup\": %.2f\n" (hot_eps /. heap_eps);
   p "  },\n";
+  p "  \"timer\": {\n";
+  p "    \"window\": %d,\n" timer_window;
+  p "    \"ops\": %d,\n" timer_n;
+  p "    \"wall_s\": %.4f,\n" timer_s;
+  p "    \"ns_per_op\": %.1f\n" timer_ns;
+  p "  },\n";
   p "  \"alloc\": {\n";
   p "    \"hot_lane_words_per_event\": %.3f,\n" hot_wpe;
-  p "    \"heap_lane_words_per_event\": %.3f\n" heap_wpe;
+  p "    \"heap_lane_words_per_event\": %.3f,\n" heap_wpe;
+  p "    \"timer_words_per_op\": %.3f\n" timer_wpo;
   p "  },\n";
   p "  \"pmd_batch\": {\n";
   p "    \"batch_1\": { \"received_pps\": %.0f, \"events\": %d, \"wall_s\": %.4f },\n" pps1 ev1
@@ -346,9 +386,11 @@ let () =
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "engine bench: hot lane %.2fx heap; %.2f/%.2f alloc words/event \
-                 (hot/heap); pmd batch32 %.2fx wall; shards %d identical: %b; sweep \
-                 identical: %b (%d domain(s) recommended%s)\n"
-    (hot_eps /. heap_eps) hot_wpe heap_wpe (wall1 /. wall32) shard_n shard_identical identical
+                 (hot/heap); timer %.0f ns and %.2f words per arm+cancel; pmd batch32 \
+                 %.2fx wall; shards %d identical: %b; sweep identical: %b (%d domain(s) \
+                 recommended%s)\n"
+    (hot_eps /. heap_eps) hot_wpe heap_wpe timer_ns timer_wpo (wall1 /. wall32) shard_n
+    shard_identical identical
     rec_domains
     (if multicore then "" else "; wall speedups skipped");
   Printf.printf "written: %s\n" !out_file

@@ -298,6 +298,7 @@ module Guard = struct
 
   let create ?(obs = Obs.none) ?(policy = default_policy) sim ~name =
     if policy.max_attempts < 1 then invalid_arg "Fault.Guard: max_attempts must be >= 1";
+    if not (policy.timeout_ns > 0.0) then invalid_arg "Fault.Guard: timeout_ns must be positive";
     {
       sim;
       name;
@@ -338,12 +339,16 @@ module Guard = struct
   let metric g what = "fault.guard." ^ g.name ^ "." ^ what
 
   let with_timeout sim ~timeout_ns op =
-    if not (Float.is_finite timeout_ns) then Ok (op ())
+    if not (timeout_ns > 0.0) then invalid_arg "Fault.Guard.with_timeout: timeout must be positive"
+    else if timeout_ns = infinity then Ok (op ())
     else begin
-      (* Race the operation against the deadline. First settle wins;
-         the loser is abandoned (the simulator cannot preempt it). *)
+      (* Race the operation against the deadline. First settle wins: a
+         finished operation cancels the deadline, while an operation that
+         loses is abandoned (the simulator cannot preempt it). The
+         deadline is armed after the fork, as a plain [schedule] was. *)
       let result = ref None in
       let waiter = ref None in
+      let deadline = ref None in
       let settle v =
         if !result = None then begin
           result := Some v;
@@ -352,8 +357,10 @@ module Guard = struct
       in
       Sim.fork (fun () ->
           let v = op () in
+          Option.iter (Sim.cancel sim) !deadline;
           settle (Ok v));
-      Sim.schedule sim ~delay:timeout_ns (fun () -> settle (Error `Timeout));
+      deadline :=
+        Some (Sim.schedule_timer sim ~delay:timeout_ns (fun () -> settle (Error `Timeout)));
       match !result with
       | Some v -> v
       | None ->

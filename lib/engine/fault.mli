@@ -135,7 +135,8 @@ val plan_of : t -> plan
 
 module Guard : sig
   type policy = {
-    timeout_ns : float;  (** per-attempt timeout; [infinity] disables *)
+    timeout_ns : float;
+        (** per-attempt timeout, positive; [infinity] disables *)
     max_attempts : int;  (** total tries per {!run} (≥ 1) *)
     backoff_ns : float;  (** sleep before the first retry *)
     backoff_mult : float;  (** exponential growth per retry *)
@@ -156,7 +157,9 @@ module Guard : sig
 
   val create : ?obs:Obs.t -> ?policy:policy -> Sim.t -> name:string -> g
   (** With [obs], retries/timeouts/rejections count under
-      ["fault.guard.<name>."]. *)
+      ["fault.guard.<name>."]. Raises [Invalid_argument] when
+      [max_attempts < 1] or [timeout_ns] is not positive (NaN
+      included). *)
 
   val run : g -> (unit -> ('a, string) result) -> ('a, string) result
   (** Run the operation under the policy, from process context. Each
@@ -174,8 +177,12 @@ module Guard : sig
       absolute values, exactly-once completion publication). *)
 
   val with_timeout : Sim.t -> timeout_ns:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
-  (** Race the operation against a deadline, from process context. The
-      loser is abandoned, not cancelled. *)
+  (** Race the operation against a deadline, from process context. An
+      operation that finishes first cancels the deadline (a
+      {!Sim.schedule_timer}), so an [Ok] leaves nothing pending; an
+      operation that loses is abandoned, not cancelled. Raises
+      [Invalid_argument] unless [timeout_ns] is positive; [infinity]
+      runs the operation inline with no deadline. *)
 
   val retries : g -> int
   val timeouts : g -> int

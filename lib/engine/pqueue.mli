@@ -8,9 +8,17 @@
     simulations — deterministic.
 
     Slots beyond the live size are nulled out, so popped values (event
-    closures, i.e. whole fibers) never outlive their pop. *)
+    closures, i.e. whole fibers) never outlive their pop.
+
+    Entries added with {!add_handle} can also be removed before they
+    reach the top, in O(log n), through the {!handle} they return. *)
 
 type 'a t
+
+type handle
+(** Names one {!add_handle} entry for {!cancel}: the entry's slot in a
+    side table plus its sequence number. Immutable; stale once the entry
+    has been popped, cancelled or cleared. *)
 
 val create : unit -> 'a t
 (** [create ()] is an empty queue. *)
@@ -24,6 +32,20 @@ val capacity : 'a t -> int
 val add : 'a t -> time:float -> seq:int -> 'a -> unit
 (** [add q ~time ~seq v] inserts [v] with priority [(time, seq)].
     Allocation-free except when the backing arrays double. *)
+
+val add_handle : 'a t -> time:float -> seq:int -> 'a -> handle
+(** [add_handle q ~time ~seq v] is {!add} that also returns a handle for
+    {!cancel}. The entry takes a slot from a free-list (reused after the
+    entry leaves the queue); growing the slot table or allocating the
+    handle are its only allocations. *)
+
+val cancel : 'a t -> handle -> bool
+(** [cancel q h] removes [h]'s entry and releases its payload, returning
+    [true]; it returns [false] and changes nothing when [h] is stale —
+    its entry already popped, cancelled or cleared, even if a newer entry
+    has since reused the slot. The check compares sequence numbers, so
+    every handle entry needs a distinct [seq] (the simulator's seq
+    counter never repeats). *)
 
 (** {2 Zero-allocation accessors — the simulator's inner loop}
 
@@ -60,4 +82,5 @@ val pop_if_le : 'a t -> time:float -> seq:int -> (float * int * 'a) option
 val clear : 'a t -> unit
 (** Drop every element. Keeps the backing arrays' capacity (a cleared
     simulation agenda is usually refilled to the same size) but releases
-    every held reference. *)
+    every held reference and every handle slot, so all outstanding
+    handles become stale. *)

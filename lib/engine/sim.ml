@@ -114,6 +114,20 @@ let schedule t ~delay f =
   if delay = 0.0 then lane_push t t.seq f
   else Pqueue.add t.agenda ~time:(t.time +. delay) ~seq:t.seq f
 
+type timer = Pqueue.handle
+
+(* A timer is an ordinary heap event that can be taken back out: same
+   seq counter, same (time, seq) order, so arming one is
+   indistinguishable from [schedule] until it is cancelled. A positive
+   delay keeps it off the hot lane, whose FIFO slots cannot be
+   removed. *)
+let schedule_timer t ~delay f =
+  if not (delay > 0.0) then invalid_arg "Sim.schedule_timer: delay must be positive";
+  t.seq <- t.seq + 1;
+  Pqueue.add_handle t.agenda ~time:(t.time +. delay) ~seq:t.seq f
+
+let cancel t timer = ignore (Pqueue.cancel t.agenda timer)
+
 (* Absolute-time variant for the sharded scheduler's barrier: a message
    carries its exact arrival timestamp, and round-tripping it through a
    delay ([now +. (arrival -. now)]) can land a ulp off — enough to
@@ -137,7 +151,11 @@ let rec exec : t -> (unit -> unit) -> unit =
           | Delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
-                if d < 0.0 then discontinue k (Invalid_argument "Sim.delay: negative")
+                (* [schedule]'s guard, checked here so that a negative
+                   or NaN delay raises inside the fiber, where its own
+                   handler can catch it, rather than out of [run]. *)
+                if not (d >= 0.0) then
+                  discontinue k (Invalid_argument "Sim.delay: negative or NaN")
                 else schedule t ~delay:d (fun () -> continue k ()))
           | Clock -> Some (fun (k : (a, unit) continuation) -> continue k t.time)
           | Suspend register ->
@@ -266,6 +284,40 @@ module Ivar = struct
           match iv.state with
           | Full v -> resume v
           | Empty waiters -> iv.state <- Empty (resume :: waiters))
+
+  (* The hop structure is that of the spawned reader fiber plus
+     watcher fiber this replaces, so every event that has an effect
+     keeps its place in the (time, seq) order and outputs stay
+     byte-identical: one zero-delay hop where the reader was spawned
+     (which checks the cell and arms the deadline where the watcher's
+     [delay] armed it), one hop where the reader resumed after [fill],
+     then the caller's own resume. Only the no-op events go: the
+     watcher's start, and its wake-up after the reader won — that timer
+     is cancelled instead. *)
+  let read_timeout sim iv ~timeout =
+    if not (timeout > 0.0) then invalid_arg "Sim.Ivar.read_timeout: timeout must be positive";
+    suspend (fun resume ->
+        schedule sim ~delay:0.0 (fun () ->
+            match iv.state with
+            | Full v -> resume (Some v)
+            | Empty waiters ->
+              let settled = ref false in
+              let settle v =
+                if not !settled then begin
+                  settled := true;
+                  resume v
+                end
+              in
+              let timer = schedule_timer sim ~delay:timeout (fun () -> settle None) in
+              let on_fill v =
+                if not !settled then
+                  schedule sim ~delay:0.0 (fun () ->
+                      if not !settled then begin
+                        cancel sim timer;
+                        settle (Some v)
+                      end)
+              in
+              iv.state <- Empty (on_fill :: waiters)))
 
   let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
   let peek iv = match iv.state with Full v -> Some v | Empty _ -> None

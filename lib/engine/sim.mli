@@ -40,12 +40,30 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
     can land a ulp off a timestamp computed elsewhere. This is how the
     sharded scheduler ({!Shard}) injects cross-shard arrivals. *)
 
+type timer
+(** A cancellable scheduled callback. *)
+
+val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
+(** [schedule_timer t ~delay f] is {!schedule} that returns a handle for
+    {!cancel}: [f] runs at [now t +. delay], in the same (time, seq)
+    order a plain [schedule] call at this point would give it. Raises
+    [Invalid_argument] unless [delay] is positive (zero, negative and
+    NaN are rejected: a timer always sits on the heap lane). *)
+
+val cancel : t -> timer -> unit
+(** [cancel t timer] removes a pending timer from the agenda, releasing
+    its callback at once. A no-op once the timer has fired, been
+    cancelled or been discarded by {!stop}: a handle carries its event's
+    sequence number, so it can never cancel a later timer that reuses its
+    agenda slot. *)
+
 val events_executed : t -> int
 (** Events executed by {!run} so far (both lanes) — the numerator of the
     engine's events/sec throughput metric. *)
 
 val pending_events : t -> int
-(** Events currently scheduled and not yet executed. *)
+(** Events currently scheduled and not yet executed. A cancelled timer
+    leaves the agenda at once, so it is not counted. *)
 
 type stats = {
   executed : int;  (** total events run (= [lane + heap]) *)
@@ -89,12 +107,15 @@ val next_event_time : t -> float
     window computation. Pure observation. *)
 
 val stop : t -> unit
-(** Discard all pending events; {!run} returns promptly. *)
+(** Discard all pending events (timers included, whose handles become
+    stale); {!run} returns promptly. *)
 
 (** {2 Blocking operations — only valid inside a process} *)
 
 val delay : float -> unit
-(** Suspend the calling process for a non-negative duration. *)
+(** Suspend the calling process for a non-negative duration. A negative
+    or NaN duration raises [Invalid_argument] inside the calling
+    process. *)
 
 val clock : unit -> float
 (** Current time, from inside a process. *)
@@ -121,6 +142,17 @@ module Ivar : sig
 
   val read : 'a ivar -> 'a
   (** Returns immediately if filled, otherwise blocks until {!fill}. *)
+
+  val read_timeout : t -> 'a ivar -> timeout:float -> 'a option
+  (** [read_timeout sim iv ~timeout] blocks until {!fill} ([Some v]) or
+      until [timeout] ns have passed ([None]), whichever comes first; a
+      later fill is then ignored. No process is spawned: the deadline is
+      a {!schedule_timer} that is cancelled when the fill wins, so an
+      answered read leaves nothing on the agenda. It always takes the
+      event hops of a reader process spawned at the call (one zero-delay
+      hop to check the cell, one after the fill, then the caller's
+      resume), even when [iv] is already full. Raises [Invalid_argument]
+      unless [timeout] is positive. *)
 
   val is_filled : 'a ivar -> bool
   val peek : 'a ivar -> 'a option

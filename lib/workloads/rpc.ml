@@ -71,16 +71,6 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-(* Wait for [ivar] or give up after [timeout] ns. *)
-let read_with_timeout t ivar ~timeout =
-  let cell = Sim.Ivar.create () in
-  let settle v = if not (Sim.Ivar.is_filled cell) then Sim.Ivar.fill cell v in
-  Sim.spawn t.sim (fun () -> settle (Some (Sim.Ivar.read ivar)));
-  Sim.spawn t.sim (fun () ->
-      Sim.delay timeout;
-      settle None);
-  Sim.Ivar.read cell
-
 (* TCP-style delivery: retransmit on loss (a dropped SYN or request —
    e.g. the server momentarily out of posted rx buffers) with a 100 ms
    RTO, up to [max_tries]. *)
@@ -106,7 +96,7 @@ let round_trip t ~dst ~tag ~bytes ~packets =
     else begin
       if tries > 0 then t.retransmits <- t.retransmits + 1;
       transmit ();
-      match read_with_timeout t ivar ~timeout:rto_ns with
+      match Sim.Ivar.read_timeout t.sim ivar ~timeout:rto_ns with
       | Some v -> Some v
       | None -> attempt (tries + 1)
     end

@@ -39,7 +39,12 @@ val call :
     accept, default false) an extra round trip and connection teardown
     packets are added — the KeepAlive-off behaviour of the NGINX test.
     Lost packets are retransmitted with a 100 ms RTO; [`Timeout] after 8
-    attempts. [tag] (default 0; values ≥ 8 are free for applications) is
+    attempts. Each attempt waits with {!Bm_engine.Sim.Ivar.read_timeout}:
+    no process is spawned, and the RTO deadline is cancelled when the
+    reply lands, so an answered call leaves nothing on the agenda
+    ({!Bm_engine.Sim.pending_events} does not count cancelled deadlines,
+    and the clock does not run on to them). A reply that arrives after
+    its call has returned is dropped. [tag] (default 0; values ≥ 8 are free for applications) is
     visible to the server's service function — a poor man's request
     header. *)
 

@@ -155,6 +155,115 @@ let prop_pqueue_model =
       drain ();
       !ok && Pqueue.is_empty q)
 
+(* Indexed removal: a handle goes stale once its entry leaves the queue,
+   and stays stale after a newer entry takes over its slot. *)
+let test_pqueue_cancel_stale () =
+  let q = Pqueue.create () in
+  let h1 = Pqueue.add_handle q ~time:1.0 ~seq:1 "a" in
+  check_bool "pop" true (Pqueue.pop q = Some (1.0, 1, "a"));
+  (* The slot freed by the pop is reused by the next handle entry. *)
+  let h2 = Pqueue.add_handle q ~time:2.0 ~seq:2 "b" in
+  check_bool "stale after pop and reuse" false (Pqueue.cancel q h1);
+  check_int "newer entry kept" 1 (Pqueue.length q);
+  check_bool "live cancel" true (Pqueue.cancel q h2);
+  check_bool "second cancel is stale" false (Pqueue.cancel q h2);
+  check_bool "emptied" true (Pqueue.is_empty q);
+  let h3 = Pqueue.add_handle q ~time:3.0 ~seq:3 "c" in
+  Pqueue.clear q;
+  check_bool "stale after clear" false (Pqueue.cancel q h3);
+  (* Cancelling from the middle of the heap keeps the order of the rest. *)
+  let q = Pqueue.create () in
+  let hs =
+    List.init 20 (fun i -> (i, Pqueue.add_handle q ~time:(float_of_int (i mod 5)) ~seq:i i))
+  in
+  List.iter (fun (i, h) -> if i mod 3 = 0 then check_bool "cancel" true (Pqueue.cancel q h)) hs;
+  let rec drain acc =
+    match Pqueue.pop q with None -> List.rev acc | Some (_, _, v) -> drain (v :: acc)
+  in
+  let expected =
+    List.filter (fun i -> i mod 3 <> 0) (List.init 20 Fun.id)
+    |> List.stable_sort (fun a b -> compare (a mod 5) (b mod 5))
+  in
+  Alcotest.(check (list int)) "survivors in (time, seq) order" expected (drain [])
+
+(* A cancelled entry's payload is released at once, like a popped one. *)
+let test_pqueue_cancel_releases_value () =
+  let q = Pqueue.create () in
+  let weak = Weak.create 1 in
+  let h =
+    let v = ref 0 in
+    Weak.set weak 0 (Some v);
+    Pqueue.add_handle q ~time:1.0 ~seq:1 v
+  in
+  Pqueue.add q ~time:2.0 ~seq:2 (ref 1);
+  check_bool "cancelled" true (Pqueue.cancel q h);
+  Gc.full_major ();
+  check_bool "payload collected" false (Weak.check weak 0);
+  ignore (Sys.opaque_identity q)
+
+(* The model test with indexed removal: ordinary and handle adds, pops,
+   cancels and clears against the sorted list. Every handle is kept, so
+   cancels also hit stale handles — entry popped, cancelled or cleared,
+   slot possibly reused by a newer entry — which must return false and
+   change nothing. *)
+let prop_pqueue_cancel_model =
+  QCheck.Test.make ~name:"pqueue with cancel matches sorted-list reference" ~count:300
+    QCheck.(list (pair (int_bound 19) (int_bound 50)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] in
+      let seq = ref 0 in
+      let handles = ref [||] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | x :: rest ->
+          model := rest;
+          Some x
+      in
+      let model_add time s = model := List.merge compare !model [ (time, s, s) ] in
+      List.iter
+        (fun (op, x) ->
+          let time = float_of_int (x / 10) in
+          if op < 5 then begin
+            incr seq;
+            Pqueue.add q ~time ~seq:!seq !seq;
+            model_add time !seq
+          end
+          else if op < 10 then begin
+            incr seq;
+            let h = Pqueue.add_handle q ~time ~seq:!seq !seq in
+            handles := Array.append !handles [| (h, !seq) |];
+            model_add time !seq
+          end
+          else if op < 14 then expect (Pqueue.pop q = pop_model ())
+          else if op < 19 then begin
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let h, s = !handles.(x mod n) in
+              let live = List.exists (fun (_, s', _) -> s' = s) !model in
+              expect (Pqueue.cancel q h = live);
+              model := List.filter (fun (_, s', _) -> s' <> s) !model
+            end
+          end
+          else begin
+            Pqueue.clear q;
+            model := []
+          end;
+          expect (Pqueue.length q = List.length !model))
+        ops;
+      let rec drain () =
+        match Pqueue.pop q with
+        | None -> expect (pop_model () = None)
+        | got ->
+          expect (got = pop_model ());
+          drain ()
+      in
+      drain ();
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -677,6 +786,256 @@ let test_schedule_at_exact () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Cancellable timers *)
+
+let test_timer_cancel () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let t1 = Sim.schedule_timer sim ~delay:10.0 (fun () -> fired := 1 :: !fired) in
+  let t2 = Sim.schedule_timer sim ~delay:20.0 (fun () -> fired := 2 :: !fired) in
+  check_int "both pending" 2 (Sim.pending_events sim);
+  Sim.cancel sim t1;
+  check_int "a cancelled timer is not pending" 1 (Sim.pending_events sim);
+  Sim.cancel sim t1;
+  Sim.run sim;
+  Alcotest.(check (list int)) "only the live timer fired" [ 2 ] !fired;
+  check_float "clock at the live timer" 20.0 (Sim.now sim);
+  Sim.cancel sim t2;
+  (* [stop] discards timers; their handles cannot touch a newer timer
+     that takes over the freed slot. *)
+  let t3 = Sim.schedule_timer sim ~delay:5.0 ignore in
+  Sim.stop sim;
+  check_int "stop discards timers" 0 (Sim.pending_events sim);
+  let hit = ref false in
+  ignore (Sim.schedule_timer sim ~delay:5.0 (fun () -> hit := true));
+  Sim.cancel sim t3;
+  Sim.run sim;
+  check_bool "newer timer survives a stale cancel" true !hit
+
+let raises_invalid f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+let test_timer_rejects_bad_delay () =
+  let sim = Sim.create () in
+  List.iter
+    (fun d ->
+      check_bool (Printf.sprintf "schedule_timer %g" d) true
+        (raises_invalid (fun () -> ignore (Sim.schedule_timer sim ~delay:d ignore))))
+    [ 0.0; -1.0; Float.nan ];
+  check_int "nothing scheduled" 0 (Sim.pending_events sim)
+
+(* Regression: a NaN delay used to pass the Delay handler's [d < 0.0]
+   check and raise out of [Sim.run], past the fiber's own handler. *)
+let test_bad_delay_raises_in_fiber () =
+  let sim = Sim.create () in
+  let caught = ref 0 in
+  let iv = Sim.Ivar.create () in
+  Sim.spawn sim (fun () ->
+      List.iter
+        (fun d -> if raises_invalid (fun () -> Sim.delay d) then incr caught)
+        [ -1.0; Float.nan ];
+      List.iter
+        (fun timeout ->
+          if raises_invalid (fun () -> ignore (Sim.Ivar.read_timeout sim iv ~timeout)) then
+            incr caught)
+        [ 0.0; -1.0; Float.nan ]);
+  Sim.run sim;
+  check_int "all five caught inside the fiber" 5 !caught
+
+let test_read_timeout () =
+  let sim = Sim.create () in
+  let iv = Sim.Ivar.create () and never = Sim.Ivar.create () in
+  let log = ref [] in
+  let note what = log := (what, Sim.clock ()) :: !log in
+  Sim.spawn sim (fun () ->
+      (match Sim.Ivar.read_timeout sim iv ~timeout:100.0 with
+      | Some v -> note (Printf.sprintf "got %d" v)
+      | None -> note "timeout");
+      (* Only this test's own late fill below is still pending. *)
+      check_int "answered read leaves no deadline" 1 (Sim.pending_events sim);
+      (match Sim.Ivar.read_timeout sim never ~timeout:50.0 with
+      | Some _ -> note "unexpected"
+      | None -> note "timeout");
+      (* Already full: still answered, at the same instant. *)
+      match Sim.Ivar.read_timeout sim iv ~timeout:10.0 with
+      | Some v -> note (Printf.sprintf "full %d" v)
+      | None -> note "timeout");
+  Sim.schedule sim ~delay:30.0 (fun () -> Sim.Ivar.fill iv 7);
+  (* A fill after the reader gave up is ignored. *)
+  Sim.schedule sim ~delay:500.0 (fun () -> Sim.Ivar.fill never 1);
+  Sim.run sim;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "results and times"
+    [ ("got 7", 30.0); ("timeout", 80.0); ("full 7", 80.0) ]
+    (List.rev !log);
+  check_float "clock ends at the late fill" 500.0 (Sim.now sim)
+
+(* The reader + watcher pair that [read_timeout] replaces, kept here as
+   the reference for its event order. *)
+let spawned_read_timeout sim iv ~timeout =
+  let cell = Sim.Ivar.create () in
+  let settle v = if not (Sim.Ivar.is_filled cell) then Sim.Ivar.fill cell v in
+  Sim.spawn sim (fun () -> settle (Some (Sim.Ivar.read iv)));
+  Sim.spawn sim (fun () ->
+      Sim.delay timeout;
+      settle None);
+  Sim.Ivar.read cell
+
+(* [read_timeout] keeps every effect of the spawned reader in place:
+   readers (with a retry on the same cell after a timeout), fills and
+   marker events on a coarse integer clock, so that fills and other
+   events land exactly on deadlines, log the same sequence. *)
+let prop_read_timeout_matches_spawned_reader =
+  QCheck.Test.make ~name:"read_timeout logs what the spawned reader logs" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 40) (triple (int_bound 2) (int_bound 3) (int_bound 11)))
+    (fun actions ->
+      let run read =
+        let sim = Sim.create () in
+        let ivars = Array.init 3 (fun _ -> Sim.Ivar.create ()) in
+        let log = ref [] in
+        let note s = log := (s, Sim.now sim) :: !log in
+        List.iteri
+          (fun i (kind, at, x) ->
+            let at = float_of_int at and iv = ivars.(x mod 3) in
+            match kind with
+            | 0 ->
+              let timeout = float_of_int (1 + (x / 3)) in
+              Sim.schedule sim ~delay:at (fun () ->
+                  Sim.spawn sim (fun () ->
+                      let rec go tries =
+                        match read sim iv ~timeout with
+                        | Some v -> note (Printf.sprintf "r%d got %d" i v)
+                        | None ->
+                          note (Printf.sprintf "r%d timeout" i);
+                          if tries < 1 then go (tries + 1)
+                      in
+                      go 0))
+            | 1 ->
+              Sim.schedule sim ~delay:at (fun () ->
+                  if not (Sim.Ivar.is_filled iv) then begin
+                    note (Printf.sprintf "fill %d" i);
+                    Sim.Ivar.fill iv i
+                  end)
+            | _ ->
+              (* A tree of markers: zero-delay children run between a
+                 reader's call and its first hop, timed children tie
+                 with deadlines, and their own zero-delay children show
+                 which of two tied heap events ran first. *)
+              let rec mark name depth =
+                note name;
+                if depth > 0 then begin
+                  Sim.schedule sim ~delay:0.0 (fun () -> mark (name ^ "'") (depth - 1));
+                  Sim.schedule sim ~delay:(float_of_int (1 + (x / 3))) (fun () ->
+                      mark (name ^ "+") (depth - 1))
+                end
+              in
+              Sim.schedule sim ~delay:at (fun () -> mark (Printf.sprintf "m%d" i) 3))
+          actions;
+        Sim.run sim;
+        List.rev !log
+      in
+      run (fun sim iv ~timeout -> Sim.Ivar.read_timeout sim iv ~timeout)
+      = run spawned_read_timeout)
+
+(* Cancelling a timer is the same as letting it fire as a no-op: every
+   surviving event runs in the same order either way. Top-level events
+   on a coarse clock run child operations — plain events, timers, and
+   cancels of any timer armed so far (possibly already fired). *)
+let prop_cancel_equals_noop_timer =
+  QCheck.Test.make ~name:"cancelled timers = no-op timers for surviving events" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (pair (int_bound 3) (list_of_size (Gen.int_range 0 6) (pair (int_bound 2) (int_bound 3)))))
+    (fun tasks ->
+      let run ~real =
+        let sim = Sim.create () in
+        let order = ref [] in
+        let id = ref 0 in
+        let cancels = ref [||] in
+        let fresh () =
+          incr id;
+          !id
+        in
+        let child (kind, x) =
+          match kind with
+          | 0 ->
+            let i = fresh () in
+            Sim.schedule sim ~delay:(float_of_int x) (fun () -> order := i :: !order)
+          | 1 ->
+            let i = fresh () in
+            let delay = float_of_int (1 + x) in
+            let cancel =
+              if real then begin
+                let timer = Sim.schedule_timer sim ~delay (fun () -> order := i :: !order) in
+                fun () -> Sim.cancel sim timer
+              end
+              else begin
+                let cancelled = ref false in
+                Sim.schedule sim ~delay (fun () -> if not !cancelled then order := i :: !order);
+                fun () -> cancelled := true
+              end
+            in
+            cancels := Array.append !cancels [| cancel |]
+          | _ ->
+            let n = Array.length !cancels in
+            if n > 0 then !cancels.(x mod n) ()
+        in
+        List.iter
+          (fun (d, children) ->
+            let i = fresh () in
+            Sim.schedule sim ~delay:(float_of_int d) (fun () ->
+                order := i :: !order;
+                List.iter child children))
+          tasks;
+        Sim.run sim;
+        (List.rev !order, Sim.pending_events sim)
+      in
+      run ~real:true = run ~real:false)
+
+let test_guard_timeout_cancels_deadline () =
+  let sim = Sim.create () in
+  let got = ref None and pending = ref (-1) in
+  Sim.spawn sim (fun () ->
+      got :=
+        Some
+          (Fault.Guard.with_timeout sim ~timeout_ns:1e6 (fun () ->
+               Sim.delay 10.0;
+               42));
+      pending := Sim.pending_events sim);
+  Sim.run sim;
+  check_bool "ok" true (!got = Some (Ok 42));
+  check_int "no deadline left pending" 0 !pending;
+  check_float "clock stops at the completion" 10.0 (Sim.now sim);
+  (* A losing operation is abandoned at the deadline and finishes later. *)
+  let sim = Sim.create () in
+  let timed_out_at = ref nan in
+  Sim.spawn sim (fun () ->
+      match Fault.Guard.with_timeout sim ~timeout_ns:100.0 (fun () -> Sim.delay 1_000.0) with
+      | Error `Timeout -> timed_out_at := Sim.clock ()
+      | Ok () -> Alcotest.fail "slow operation won");
+  Sim.run sim;
+  check_float "timeout at the deadline" 100.0 !timed_out_at;
+  check_float "abandoned operation still ran" 1_000.0 (Sim.now sim);
+  let sim = Sim.create () in
+  let rejected = ref 0 in
+  Sim.spawn sim (fun () ->
+      List.iter
+        (fun timeout_ns ->
+          if raises_invalid (fun () -> ignore (Fault.Guard.with_timeout sim ~timeout_ns ignore))
+          then incr rejected)
+        [ 0.0; -5.0; Float.nan ]);
+  Sim.run sim;
+  check_int "non-positive and NaN timeouts rejected" 3 !rejected;
+  check_bool "policy with a NaN timeout rejected" true
+    (raises_invalid (fun () ->
+         ignore
+           (Fault.Guard.create sim ~name:"nan"
+              ~policy:{ Fault.Guard.default_policy with timeout_ns = Float.nan })))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -693,8 +1052,10 @@ let suites =
         Alcotest.test_case "pop_if_le bound" `Quick test_pqueue_pop_if_le;
         Alcotest.test_case "clear keeps capacity" `Quick test_pqueue_clear_keeps_capacity;
         Alcotest.test_case "no space leak" `Quick test_pqueue_releases_popped_values;
+        Alcotest.test_case "stale cancel" `Quick test_pqueue_cancel_stale;
+        Alcotest.test_case "cancel releases value" `Quick test_pqueue_cancel_releases_value;
       ] );
-    qsuite "engine.pqueue.prop" [ prop_pqueue_sorted; prop_pqueue_model ];
+    qsuite "engine.pqueue.prop" [ prop_pqueue_sorted; prop_pqueue_model; prop_pqueue_cancel_model ];
     ( "engine.rng",
       [
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -739,6 +1100,16 @@ let suites =
         Alcotest.test_case "schedule_at bit-exact" `Quick test_schedule_at_exact;
       ] );
     qsuite "engine.sim.prop" [ prop_two_lane_order ];
+    ( "engine.timer",
+      [
+        Alcotest.test_case "cancel" `Quick test_timer_cancel;
+        Alcotest.test_case "rejects bad delay" `Quick test_timer_rejects_bad_delay;
+        Alcotest.test_case "bad delay raises in fiber" `Quick test_bad_delay_raises_in_fiber;
+        Alcotest.test_case "read_timeout" `Quick test_read_timeout;
+        Alcotest.test_case "guard deadline cancelled" `Quick test_guard_timeout_cancels_deadline;
+      ] );
+    qsuite "engine.timer.prop"
+      [ prop_read_timeout_matches_spawned_reader; prop_cancel_equals_noop_timer ];
     ( "engine.token_bucket",
       [
         Alcotest.test_case "steady rate" `Quick test_token_bucket_steady_rate;

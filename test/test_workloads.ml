@@ -60,6 +60,69 @@ let test_rpc_tag_visible_to_service () =
   Testbed.run tb;
   Alcotest.(check (list int)) "tags" [ 0; 9 ] !seen
 
+(* A call that is never answered gives up after [max_tries] RTOs: 8 x
+   100 ms of simulated time, 7 of them retransmissions. The client's
+   transmit is a free black hole, so the RTO timing is all that shows. *)
+let test_rpc_timeout_exact () =
+  let tb = Testbed.make ~seed:2 () in
+  let _, silent = Testbed.bm_guest tb in
+  let client = { (Testbed.client_box tb) with Instance.send = (fun _ -> true) } in
+  let rpc = Rpc.create_client tb.Testbed.sim client in
+  let outcome = ref None in
+  Sim.spawn tb.Testbed.sim (fun () ->
+      let t0 = Sim.clock () in
+      let r = Rpc.call rpc ~dst:silent.Instance.endpoint () in
+      outcome := Some (r, Sim.clock () -. t0));
+  Testbed.run tb;
+  (match !outcome with
+  | Some (`Timeout, waited) -> Alcotest.(check (float 0.0)) "8 RTOs" 8e8 waited
+  | Some (`Reply _, _) -> Alcotest.fail "a silent endpoint replied"
+  | None -> Alcotest.fail "call never returned");
+  check_int "retransmits" 7 (Rpc.retransmits rpc);
+  check_int "nothing completed" 0 (Rpc.calls_completed rpc);
+  check_int "no deadline left behind" 0 (Sim.pending_events tb.Testbed.sim)
+
+(* A server slower than the RTO: the first reply lands after the
+   retransmission and completes the call; the second reply, for the
+   same request id, arrives after the call is done and is dropped. *)
+let test_rpc_late_reply_after_timeout () =
+  let tb = Testbed.make ~seed:2 () in
+  let _, server = Testbed.bm_guest tb in
+  let client = Testbed.client_box tb in
+  Rpc.attach_server server ~service:(fun _ ->
+      Sim.delay (Simtime.ms 150.0);
+      { Rpc.reply_bytes = 100; reply_packets = 1 });
+  let rpc = Rpc.create_client tb.Testbed.sim client in
+  let latency = ref nan in
+  Sim.spawn tb.Testbed.sim (fun () ->
+      match Rpc.call rpc ~dst:server.Instance.endpoint () with
+      | `Reply l -> latency := l
+      | `Timeout -> Alcotest.fail "slow server timed out");
+  Testbed.run tb;
+  check_bool "answered by the first reply" true
+    (!latency > Simtime.ms 150.0 && !latency < Simtime.ms 200.0);
+  check_int "one retransmit" 1 (Rpc.retransmits rpc);
+  check_int "counted once" 1 (Rpc.calls_completed rpc);
+  check_bool "second reply delivered after the call" true
+    (Sim.now tb.Testbed.sim > Simtime.ms 250.0);
+  check_int "nothing left pending" 0 (Sim.pending_events tb.Testbed.sim)
+
+(* fig12's top quick level on bm: every RTO deadline is cancelled when
+   its reply lands, so the run ends with its last request, not 100 ms
+   later, and the heap never holds the 24,000 dead timers. *)
+let test_nginx_c400_leaves_no_timers () =
+  let tb = Testbed.make ~seed:2020 () in
+  let _, server = Testbed.bm_guest tb in
+  let client = Testbed.client_box tb in
+  Nginx.serve server ();
+  let r = Nginx.ab tb.Testbed.sim ~client ~server ~concurrency:400 ~requests:24_000 in
+  let st = Sim.stats tb.Testbed.sim in
+  check_int "all requests" 24_000 r.Nginx.requests;
+  Alcotest.(check (float 1e-6)) "rps" 632804.23763117148 r.Nginx.rps;
+  check_bool "clock ends before one RTO" true (Sim.now tb.Testbed.sim < Simtime.ms 100.0);
+  check_int "agenda drained" 0 (Sim.pending_events tb.Testbed.sim);
+  check_bool "heap stays small" true (st.Sim.heap_capacity <= 1024)
+
 (* ------------------------------------------------------------------ *)
 (* Netperf *)
 
@@ -246,6 +309,9 @@ let suites =
       [
         Alcotest.test_case "roundtrip + handshake" `Quick test_rpc_roundtrip_and_handshake;
         Alcotest.test_case "tag visible" `Quick test_rpc_tag_visible_to_service;
+        Alcotest.test_case "timeout after 8 RTOs" `Quick test_rpc_timeout_exact;
+        Alcotest.test_case "late reply ignored" `Quick test_rpc_late_reply_after_timeout;
+        Alcotest.test_case "nginx c400 leaves no timers" `Quick test_nginx_c400_leaves_no_timers;
       ] );
     ( "workloads.netperf",
       [
