@@ -13,8 +13,10 @@
      timer      host ns per Sim.schedule_timer + Sim.cancel pair with a
                 window of outstanding timers, each op cancelling the
                 oldest (the RPC deadline pattern)
-     alloc      GC-allocated words per event on both lanes and per
-                timer op (the allocation gates CI enforces)
+     alloc      GC-allocated words per event on both lanes, per timer
+                op, per [Sim.delay] and [Sim.spawn] inside a fiber and
+                per Vring add -> pop_avail -> push_used -> pop_used
+                cycle (the allocation gates CI enforces)
      pmd_batch  wall-clock of a UDP PPS run between two bm-guests with
                 the PMD drained one descriptor per fiber (batch=1, the
                 bit-identical default) vs burst-of-32
@@ -127,6 +129,47 @@ let timer_ops ~window ~ops =
   assert (Sim.pending_events sim = window);
   Sim.stop sim;
   (dt, dt *. 1e9 /. float_of_int ops, words /. float_of_int ops)
+
+(* --- fiber and ring operations ------------------------------------------ *)
+
+(* Words per [Sim.delay] from inside one fiber: the effect, its
+   continuation and its resume closure, plus the heap event it becomes. *)
+let fiber_delay_words ~ops =
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () ->
+      for _ = 1 to ops do
+        Sim.delay 1.0
+      done);
+  let a0 = allocated_words () in
+  Sim.run sim;
+  (allocated_words () -. a0) /. float_of_int ops
+
+(* Words per [Sim.spawn] from inside a fiber, the spawned (empty)
+   fiber's start and finish included. *)
+let spawn_words ~ops =
+  let sim = Sim.create () in
+  let body () = () in
+  Sim.spawn sim (fun () ->
+      for _ = 1 to ops do
+        Sim.spawn sim body
+      done);
+  let a0 = allocated_words () in
+  Sim.run sim;
+  (allocated_words () -. a0) /. float_of_int ops
+
+(* Words per request round trip through a split ring, driver and
+   device sides both: a two-segment tx chain as Virtio_net posts it. *)
+let vring_cycle_words ~ops =
+  let r = Bm_virtio.Vring.create ~size:256 in
+  let payload = ref 0 in
+  let a0 = allocated_words () in
+  for _ = 1 to ops do
+    let head = Bm_virtio.Vring.add r ~out:[ 12; 64 ] ~in_:[] payload in
+    let popped = Bm_virtio.Vring.pop_avail r in
+    Bm_virtio.Vring.push_used r ~head:popped ~written:0;
+    if Bm_virtio.Vring.pop_used r <> head then failwith "vring cycle: wrong head reaped"
+  done;
+  (allocated_words () -. a0) /. float_of_int ops
 
 (* --- PMD batching ----------------------------------------------------- *)
 
@@ -282,6 +325,11 @@ let () =
   let timer_n = if !quick then 200_000 else 2_000_000 in
   progress "timers: %d ops, window %d" timer_n timer_window;
   let timer_s, timer_ns, timer_wpo = timer_ops ~window:timer_window ~ops:timer_n in
+  let fiber_n = if !quick then 100_000 else 1_000_000 in
+  progress "fiber delay / spawn / vring cycle: %d ops each" fiber_n;
+  let delay_wpo = fiber_delay_words ~ops:fiber_n in
+  let spawn_wpo = spawn_words ~ops:fiber_n in
+  let vring_wpo = vring_cycle_words ~ops:fiber_n in
   let duration = if !quick then 2_000_000.0 else 20_000_000.0 in
   progress "pmd batch=1 (%.0f ms simulated)" (duration /. 1e6);
   let pps1, ev1, wall1 = pmd_run ~batch:1 ~duration in
@@ -330,7 +378,10 @@ let () =
   p "  \"alloc\": {\n";
   p "    \"hot_lane_words_per_event\": %.3f,\n" hot_wpe;
   p "    \"heap_lane_words_per_event\": %.3f,\n" heap_wpe;
-  p "    \"timer_words_per_op\": %.3f\n" timer_wpo;
+  p "    \"timer_words_per_op\": %.3f,\n" timer_wpo;
+  p "    \"fiber_delay_words_per_op\": %.3f,\n" delay_wpo;
+  p "    \"spawn_words_per_op\": %.3f,\n" spawn_wpo;
+  p "    \"vring_cycle_words_per_op\": %.3f\n" vring_wpo;
   p "  },\n";
   p "  \"pmd_batch\": {\n";
   p "    \"batch_1\": { \"received_pps\": %.0f, \"events\": %d, \"wall_s\": %.4f },\n" pps1 ev1
@@ -386,10 +437,11 @@ let () =
   Buffer.output_buffer oc buf;
   close_out oc;
   Printf.printf "engine bench: hot lane %.2fx heap; %.2f/%.2f alloc words/event \
-                 (hot/heap); timer %.0f ns and %.2f words per arm+cancel; pmd batch32 \
-                 %.2fx wall; shards %d identical: %b; sweep identical: %b (%d domain(s) \
-                 recommended%s)\n"
-    (hot_eps /. heap_eps) hot_wpe heap_wpe timer_ns timer_wpo (wall1 /. wall32) shard_n
+                 (hot/heap); timer %.0f ns and %.2f words per arm+cancel; %.2f/%.2f/%.2f \
+                 words per delay/spawn/vring cycle; pmd batch32 %.2fx wall; shards %d \
+                 identical: %b; sweep identical: %b (%d domain(s) recommended%s)\n"
+    (hot_eps /. heap_eps) hot_wpe heap_wpe timer_ns timer_wpo delay_wpo spawn_wpo vring_wpo
+    (wall1 /. wall32) shard_n
     shard_identical identical
     rec_domains
     (if multicore then "" else "; wall speedups skipped");

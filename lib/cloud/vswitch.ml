@@ -73,9 +73,14 @@ let create ?(obs = Obs.none) sim ~fabric ~cores ?(per_packet_ns = 300.0) ?(hop_n
 
 let host t = t.host
 
+(* The sink is checked first: the depth's float box is paid only when a
+   trace is attached. *)
 let note_queue_depth t =
-  Trace.counter_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "queue_depth" ~now:(Sim.now t.sim)
-    (float_of_int t.queued)
+  match Obs.trace t.obs with
+  | None -> ()
+  | Some tr ->
+    Trace.counter tr ~track:"cloud.vswitch" "queue_depth" ~now:(Sim.now t.sim)
+      (float_of_int t.queued)
 
 (* Unknown destination: the MAC resolves to no local endpoint and no
    peer switch. An address retired by an evacuation (guest moved, stale
@@ -86,16 +91,16 @@ let note_queue_depth t =
    kind of misconfiguration the observability layer exists to surface. *)
 let note_unknown_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count) "cloud.vswitch.dropped";
+  Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count "cloud.vswitch.dropped";
   if Hashtbl.mem t.fabric.evacuated pkt.Packet.dst then begin
     t.evac_stale_dropped <- t.evac_stale_dropped + pkt.Packet.count;
-    Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+    Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
       "cloud.vswitch.evac_stale_dropped";
     Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "evac_stale" ~now:(Sim.now t.sim)
   end
   else begin
     t.unknown_dropped <- t.unknown_dropped + pkt.Packet.count;
-    Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+    Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
       "cloud.vswitch.unknown_dst_dropped";
     Trace.instant_opt (Obs.trace t.obs) ~track:"cloud.vswitch" "unknown_dst" ~now:(Sim.now t.sim)
   end
@@ -103,13 +108,13 @@ let note_unknown_drop t (pkt : Packet.t) =
 let note_egress_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
   t.egress_dropped <- t.egress_dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+  Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
     "cloud.vswitch.egress_dropped"
 
 let note_stale_drop t (pkt : Packet.t) =
   t.dropped <- t.dropped + pkt.Packet.count;
   t.stale_dropped <- t.stale_dropped + pkt.Packet.count;
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+  Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
     "cloud.vswitch.stale_dropped"
 
 let register t ~deliver =
@@ -138,7 +143,7 @@ let deliver_local t pkt =
   | Some ep when ep.inflight >= t.egress_capacity -> note_egress_drop t pkt
   | Some ep ->
     t.forwarded <- t.forwarded + pkt.Packet.count;
-    Metrics.mark_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "cloud.vswitch.pps"
+    Metrics.mark_n_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "cloud.vswitch.pps"
       ~now:(Sim.now t.sim);
     ep.inflight <- ep.inflight + 1;
     t.queued <- t.queued + 1;

@@ -561,7 +561,7 @@ let run ?trace ?metrics ?(degrade = true) ?(policy = Policy.Ladder) ?(fleet = Fl
         results
     in
     evacuated_guests := !evacuated_guests + List.length moves;
-    Metrics.incr_opt (Obs.metrics obs) ~by:(float_of_int (List.length moves))
+    Metrics.incr_int_opt (Obs.metrics obs) ~by:(List.length moves)
       "scenario.evacuated_guests";
     if moves <> [] then stream_from ~src:server moves
   in

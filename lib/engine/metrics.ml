@@ -64,6 +64,13 @@ let observe_opt o ?lo ?hi ?precision name v =
 
 let mark_opt o ?n name ~now = match o with Some t -> mark t ?n name ~now | None -> ()
 
+(* Int-step variants: a caller's [~by:(float_of_int n)] or [~n] would
+   box the float or the option before the [None] check. *)
+let incr_int_opt o ~by name =
+  match o with Some t -> incr t ~by:(float_of_int by) name | None -> ()
+
+let mark_n_opt o ~n name ~now = match o with Some t -> mark t ~n name ~now | None -> ()
+
 type summary =
   | Counter_total of float
   | Histogram_summary of {

@@ -26,6 +26,13 @@ val incr_opt : t option -> ?by:float -> string -> unit
 val observe_opt : t option -> ?lo:float -> ?hi:float -> ?precision:float -> string -> float -> unit
 val mark_opt : t option -> ?n:int -> string -> now:float -> unit
 
+val incr_int_opt : t option -> by:int -> string -> unit
+(** [incr_opt o ~by:(float_of_int by)], converting only once a registry
+    is present: with [None] the call allocates nothing. *)
+
+val mark_n_opt : t option -> n:int -> string -> now:float -> unit
+(** [mark_opt o ~n] without the caller's [Some n] box. *)
+
 val counter_value : t -> string -> float
 (** 0 when the name is unregistered or not a counter. *)
 

@@ -25,6 +25,15 @@ type t = {
   mutable heap_executed : int;
   mutable executed : int;
   mutable stopped : bool;
+  (* One deep handler per simulator, built by [create] and reused by
+     every fiber: [effc] parks the effect's payload in a slot below and
+     returns a prebuilt [Some k_handler], which reads the slot back
+     before running any code that could perform again. Only the
+     continuation and its resume closure are allocated per effect. *)
+  mutable handler : (unit, unit) Effect.Deep.handler;
+  delay_slot : float array; (* one flat cell: the pending [Delay] *)
+  mutable fork_slot : unit -> unit;
+  mutable suspend_slot : Obj.t; (* the pending [Suspend]'s register fn *)
 }
 
 type _ Effect.t +=
@@ -36,20 +45,11 @@ type _ Effect.t +=
 (* Shared filler for vacated lane slots: retains nothing. *)
 let lane_nil () = ()
 
-let create () =
-  {
-    time = 0.0;
-    seq = 0;
-    agenda = Pqueue.create ();
-    lane_seqs = [||];
-    lane_fns = [||];
-    lane_head = 0;
-    lane_len = 0;
-    lane_executed = 0;
-    heap_executed = 0;
-    executed = 0;
-    stopped = false;
-  }
+(* Placeholder until [create] installs the simulator's own handler. *)
+let no_handler : (unit, unit) Effect.Deep.handler =
+  { retc = Fun.id; exnc = raise; effc = (fun _ -> None) }
+
+let suspend_nil = Obj.repr ()
 
 let now t = t.time
 let events_executed t = t.executed
@@ -105,14 +105,19 @@ let[@inline] lane_pop t =
   t.lane_len <- t.lane_len - 1;
   f
 
+(* [schedule] past its guard; inlined so that a delay read unboxed out
+   of [delay_slot] is never boxed on the way in. *)
+let[@inline] enqueue t ~delay f =
+  t.seq <- t.seq + 1;
+  if delay = 0.0 then lane_push t t.seq f
+  else Pqueue.add t.agenda ~time:(t.time +. delay) ~seq:t.seq f
+
 let schedule t ~delay f =
   (* An explicit raise, not an assert: the guard must survive builds
      that compile assertions out (matches the Delay effect's behavior).
      The negated comparison also rejects a NaN delay. *)
   if not (delay >= 0.0) then invalid_arg "Sim.schedule: delay must be non-negative";
-  t.seq <- t.seq + 1;
-  if delay = 0.0 then lane_push t t.seq f
-  else Pqueue.add t.agenda ~time:(t.time +. delay) ~seq:t.seq f
+  enqueue t ~delay f
 
 type timer = Pqueue.handle
 
@@ -138,43 +143,97 @@ let schedule_at t ~time f =
   if time = t.time then lane_push t t.seq f else Pqueue.add t.agenda ~time ~seq:t.seq f
 
 (* Run [body] as a fiber, interpreting the blocking effects against [t]. *)
-let rec exec : t -> (unit -> unit) -> unit =
- fun t body ->
+let exec t body = Effect.Deep.match_with body () t.handler
+
+(* A prebuilt [Some k_handler] usable at every answer type. *)
+type any_k = { k_handler : 'a. (('a, unit) Effect.Deep.continuation -> unit) option }
+
+(* The handler [exec] installs, built once per simulator. [effc] runs
+   and its [Some k_handler] is applied to the continuation at once, with
+   nothing in between, so a slot written by [effc] is always the one its
+   k_handler reads; each k_handler empties the slot (so nothing is
+   retained) before it resumes any code that could perform again. An
+   inner simulator run from a fiber has its own handler and slots, so
+   nested simulators never see each other's payloads. *)
+let make_handler t : (unit, unit) Effect.Deep.handler =
   let open Effect.Deep in
-  match_with body ()
+  let delay_k =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let d = Array.unsafe_get t.delay_slot 0 in
+        (* [schedule]'s guard, checked here so that a negative or NaN
+           delay raises inside the fiber, where its own handler can
+           catch it, rather than out of [run]. *)
+        if not (d >= 0.0) then discontinue k (Invalid_argument "Sim.delay: negative or NaN")
+        else enqueue t ~delay:d (fun () -> continue k ()))
+  in
+  let clock_k = Some (fun (k : (float, unit) continuation) -> continue k t.time) in
+  let fork_k =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let body = t.fork_slot in
+        t.fork_slot <- lane_nil;
+        enqueue t ~delay:0.0 (fun () -> exec t body);
+        continue k ())
+  in
+  (* [Suspend] is polymorphic in its answer type, so its slot holds the
+     register function type-erased. The k_handler below is applied to
+     the very continuation whose [Suspend register] filled the slot, so
+     [Obj.obj] gives [register] back at the type it was performed at. *)
+  let suspend_k =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> if e == Stopped then () else raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                (* [schedule]'s guard, checked here so that a negative
-                   or NaN delay raises inside the fiber, where its own
-                   handler can catch it, rather than out of [run]. *)
-                if not (d >= 0.0) then
-                  discontinue k (Invalid_argument "Sim.delay: negative or NaN")
-                else schedule t ~delay:d (fun () -> continue k ()))
-          | Clock -> Some (fun (k : (a, unit) continuation) -> continue k t.time)
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = ref false in
-                let resume v =
-                  if !resumed then invalid_arg "Sim.suspend: resumed twice";
-                  resumed := true;
-                  schedule t ~delay:0.0 (fun () -> continue k v)
-                in
-                register resume)
-          | Fork body' ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                schedule t ~delay:0.0 (fun () -> exec t body');
-                continue k ())
-          | _ -> None);
+      k_handler =
+        Some
+          (fun (type a) (k : (a, unit) continuation) ->
+            let register : (a -> unit) -> unit = Obj.obj t.suspend_slot in
+            t.suspend_slot <- suspend_nil;
+            let resumed = ref false in
+            let resume v =
+              if !resumed then invalid_arg "Sim.suspend: resumed twice";
+              resumed := true;
+              enqueue t ~delay:0.0 (fun () -> continue k v)
+            in
+            register resume);
     }
+  in
+  let effc (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option =
+    match eff with
+    | Delay d ->
+      Array.unsafe_set t.delay_slot 0 d;
+      delay_k
+    | Clock -> clock_k
+    | Suspend register ->
+      t.suspend_slot <- Obj.repr register;
+      suspend_k.k_handler
+    | Fork body ->
+      t.fork_slot <- body;
+      fork_k
+    | _ -> None
+  in
+  { retc = Fun.id; exnc = (fun e -> if e == Stopped then () else raise e); effc }
+
+let create () =
+  let t =
+    {
+      time = 0.0;
+      seq = 0;
+      agenda = Pqueue.create ();
+      lane_seqs = [||];
+      lane_fns = [||];
+      lane_head = 0;
+      lane_len = 0;
+      lane_executed = 0;
+      heap_executed = 0;
+      executed = 0;
+      stopped = false;
+      handler = no_handler;
+      delay_slot = [| 0.0 |];
+      fork_slot = lane_nil;
+      suspend_slot = suspend_nil;
+    }
+  in
+  t.handler <- make_handler t;
+  t
 
 let spawn t body = schedule t ~delay:0.0 (fun () -> exec t body)
 
@@ -467,8 +526,10 @@ module Resource = struct
 
   type resource = { capacity : int; mutable used : int; queue : waiter Queue.t }
 
+  (* Guards raise before anything is mutated, so a bad call leaves the
+     resource as it was, assertions compiled in or not. *)
   let create ~capacity =
-    assert (capacity > 0);
+    if capacity <= 0 then invalid_arg "Sim.Resource.create: capacity must be positive";
     { capacity; used = 0; queue = Queue.create () }
 
   let capacity r = r.capacity
@@ -486,25 +547,29 @@ module Resource = struct
       grant r
     | Some _ | None -> ()
 
-  let acquire ?(n = 1) r =
-    assert (n > 0 && n <= r.capacity);
+  (* The [?n] wrappers below box [Some n] at every call that passes it;
+     these take it unboxed. *)
+  let acquire_n r n =
+    if n <= 0 || n > r.capacity then invalid_arg "Sim.Resource.acquire: n must be in [1, capacity]";
     if Queue.is_empty r.queue && r.used + n <= r.capacity then r.used <- r.used + n
     else
       suspend (fun resume -> Queue.add { amount = n; resume = (fun () -> resume ()) } r.queue)
 
-  let release ?(n = 1) r =
-    assert (n > 0);
+  let release_n r n =
+    if n <= 0 || n > r.used then invalid_arg "Sim.Resource.release: n must be in [1, in_use]";
     r.used <- r.used - n;
-    assert (r.used >= 0);
     grant r
 
+  let acquire ?(n = 1) r = acquire_n r n
+  let release ?(n = 1) r = release_n r n
+
   let with_resource ?(n = 1) r f =
-    acquire ~n r;
+    acquire_n r n;
     match f () with
     | v ->
-      release ~n r;
+      release_n r n;
       v
     | exception e ->
-      release ~n r;
+      release_n r n;
       raise e
 end

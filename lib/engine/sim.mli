@@ -235,15 +235,22 @@ module Resource : sig
   type resource
 
   val create : capacity:int -> resource
+  (** Raises [Invalid_argument] unless [capacity > 0]. *)
+
   val capacity : resource -> int
   val in_use : resource -> int
   val waiting : resource -> int
 
   val acquire : ?n:int -> resource -> unit
   (** Blocks until [n] (default 1) units are available. Requests are
-      granted strictly in arrival order (no barging). *)
+      granted strictly in arrival order (no barging). Raises
+      [Invalid_argument], before queueing, unless [1 <= n <= capacity]:
+      a larger request could never be granted. *)
 
   val release : ?n:int -> resource -> unit
+  (** Returns [n] (default 1) units and wakes the waiters that now fit.
+      Raises [Invalid_argument], leaving the resource untouched, unless
+      [1 <= n <= in_use]. *)
 
   val with_resource : ?n:int -> resource -> (unit -> 'a) -> 'a
   (** Acquire, run, release (also on exception). *)

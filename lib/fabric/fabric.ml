@@ -57,7 +57,7 @@ let drop_at fab link job =
   link.dropped_pkts <- link.dropped_pkts + job.pkt.count;
   fab.dropped <- fab.dropped + job.pkt.count;
   Metrics.incr_opt m ("fabric.link." ^ link.name ^ ".dropped");
-  Metrics.incr_opt m ~by:(float_of_int job.pkt.count) "fabric.dropped";
+  Metrics.incr_int_opt m ~by:job.pkt.count "fabric.dropped";
   Trace.instant_opt (Obs.trace fab.obs) ~track:("fabric." ^ link.name) "drop"
     ~now:(Obs.now fab.obs);
   match job.on_drop with None -> () | Some f -> f job.pkt
@@ -74,9 +74,13 @@ let offer fab link job =
       let m = Obs.metrics fab.obs in
       let d = float_of_int (Sim.Bounded.length link.queue) in
       Stats.Histogram.add link.depth d;
-      Metrics.observe_opt m ~lo:1.0 ~hi:1e4 ("fabric.link." ^ link.name ^ ".depth") d;
-      Trace.counter_opt (Obs.trace fab.obs) ~track:("fabric." ^ link.name) "depth"
-        ~now:(Obs.now fab.obs) d
+      (* Sinks first: the names are built only when something records. *)
+      (match m with
+      | Some m -> Metrics.observe m ~lo:1.0 ~hi:1e4 ("fabric.link." ^ link.name ^ ".depth") d
+      | None -> ());
+      (match Obs.trace fab.obs with
+      | Some tr -> Trace.counter tr ~track:("fabric." ^ link.name) "depth" ~now:(Obs.now fab.obs) d
+      | None -> ())
     | `Dropped -> drop_at fab link job
     | `Rejected -> assert false (* Drop_tail never rejects *)
 
@@ -84,7 +88,7 @@ let arrive fab job =
   match job.rest with
   | [] ->
     fab.delivered <- fab.delivered + job.pkt.count;
-    Metrics.incr_opt (Obs.metrics fab.obs) ~by:(float_of_int job.pkt.count)
+    Metrics.incr_int_opt (Obs.metrics fab.obs) ~by:job.pkt.count
       "fabric.delivered";
     job.deliver job.pkt
   | next :: rest ->
@@ -102,9 +106,10 @@ let drain_link fab link =
     link.busy_ns <- link.busy_ns +. wire;
     link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
     link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
-    Metrics.mark_opt (Obs.metrics fab.obs) ~n:job.pkt.size
-      ("fabric.link." ^ link.name ^ ".bytes")
-      ~now:(Sim.clock ());
+    (match Obs.metrics fab.obs with
+    | Some m ->
+      Metrics.mark m ~n:job.pkt.size ("fabric.link." ^ link.name ^ ".bytes") ~now:(Sim.clock ())
+    | None -> ());
     Sim.schedule fab.sim ~delay:link.params.latency_ns (fun () -> arrive fab job);
     loop ()
   in
@@ -253,7 +258,7 @@ let send t ~src_host ~dst_host ?on_drop ~deliver (pkt : Packet.t) =
     | [] -> assert false
     | first :: rest ->
       t.injected <- t.injected + pkt.count;
-      Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.count) "fabric.injected";
+      Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.count "fabric.injected";
       offer t first { pkt; rest; deliver; on_drop }
 
 let path_latency_ns t ~src_host ~dst_host ~bytes =

@@ -14,7 +14,8 @@ type t = {
 let create sim ~spec ?threads ?ghz () =
   let threads = match threads with Some n -> n | None -> spec.Cpu_spec.threads in
   let ghz = match ghz with Some g -> g | None -> spec.Cpu_spec.base_ghz in
-  assert (threads > 0 && ghz > 0.0);
+  if threads <= 0 then invalid_arg "Cores.create: threads must be positive";
+  if not (ghz > 0.0) then invalid_arg "Cores.create: ghz must be positive";
   {
     sim;
     spec;
@@ -32,13 +33,20 @@ let thread_count t = t.threads
 let busy t = Sim.Resource.in_use t.pool
 let set_dilation t f = t.dilation <- f
 
+(* [Sim.Resource.with_resource] inlined by hand: no body closure and no
+   [Some n] box on the hottest path in the tree. *)
 let occupy t duration =
-  Sim.Resource.with_resource t.pool (fun () ->
-      Sim.delay duration;
-      t.busy_ns <- t.busy_ns +. duration)
+  Sim.Resource.acquire t.pool;
+  match Sim.delay duration with
+  | () ->
+    t.busy_ns <- t.busy_ns +. duration;
+    Sim.Resource.release t.pool
+  | exception e ->
+    Sim.Resource.release t.pool;
+    raise e
 
 let execute_ns t natural =
-  assert (natural >= 0.0);
+  if not (natural >= 0.0) then invalid_arg "Cores.execute_ns: duration must be non-negative";
   occupy t (t.dilation natural)
 
 let execute_cycles t cycles = execute_ns t (cycles /. t.ghz)

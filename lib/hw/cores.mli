@@ -10,7 +10,8 @@ type t
 
 val create : Bm_engine.Sim.t -> spec:Cpu_spec.t -> ?threads:int -> ?ghz:float -> unit -> t
 (** [create sim ~spec ()] is a pool with [threads] hardware threads
-    (default [spec.threads]) clocked at [ghz] (default [spec.base_ghz]). *)
+    (default [spec.threads]) clocked at [ghz] (default [spec.base_ghz]).
+    Raises [Invalid_argument] unless both are positive. *)
 
 val spec : t -> Cpu_spec.t
 val ghz : t -> float
@@ -30,7 +31,8 @@ val execute_cycles : t -> float -> unit
 
 val execute_ns : t -> float -> unit
 (** As {!execute_cycles} but the job length is given in ns of natural
-    execution time at full speed. *)
+    execution time at full speed. Raises [Invalid_argument] on a negative
+    or NaN length. *)
 
 val busy_wait : t -> float -> unit
 (** Occupy a hardware thread for exactly the given time without dilation

@@ -52,7 +52,7 @@ let copy t ~src ~dst ~bytes_ =
   let t1 = Sim.now t.sim in
   Trace.end_span_opt (Obs.trace t.obs) ~track:"hw.dma" "copy" ~now:t1;
   Metrics.observe_opt (Obs.metrics t.obs) "hw.dma.copy_ns" (t1 -. t0);
-  Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int bytes_) "hw.dma.bytes"
+  Metrics.incr_int_opt (Obs.metrics t.obs) ~by:bytes_ "hw.dma.bytes"
 
 let copies t = t.copies
 let bytes_copied t = t.bytes_copied

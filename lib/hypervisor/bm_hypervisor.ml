@@ -252,7 +252,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
           Vswitch.forward_hw t.vswitch pkt
         | Some (ot, `Slow_path) ->
           Metrics.incr_opt (Obs.metrics t.obs) "hyp.bm.offload_misses";
-          Metrics.mark_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "hyp.bm.pmd_pkts"
+          Metrics.mark_n_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "hyp.bm.pmd_pkts"
             ~now:(Sim.now sim);
           Cores.execute_ns t.base_cores (p.pmd_pkt_ns *. float_of_int pkt.Packet.count);
           Offload.install ot pkt;
@@ -260,7 +260,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
           Queue_bridge.flush net_port.Iobond.net_tx;
           Vswitch.send t.vswitch pkt
         | None ->
-          Metrics.mark_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "hyp.bm.pmd_pkts"
+          Metrics.mark_n_opt (Obs.metrics t.obs) ~n:pkt.Packet.count "hyp.bm.pmd_pkts"
             ~now:(Sim.now sim);
           Cores.execute_ns t.base_cores (p.pmd_pkt_ns *. float_of_int pkt.Packet.count);
           Queue_bridge.complete net_port.Iobond.net_tx req ~written:0 ();
@@ -324,9 +324,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
               | `Submitted _ -> ()
               | `Rejected ->
                 rx_drops := !rx_drops + pkt.Packet.count;
-                Metrics.incr_opt (Obs.metrics t.obs)
-                  ~by:(float_of_int pkt.Packet.count)
-                  "hyp.bm.rx_drops")
+                Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count "hyp.bm.rx_drops")
       in
       let process_rx pkt =
         Cores.execute_ns t.base_cores (p.pmd_pkt_ns *. float_of_int pkt.Packet.count);
@@ -337,7 +335,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
           Queue_bridge.flush net_port.Iobond.net_rx
         | None ->
           rx_drops := !rx_drops + pkt.Packet.count;
-          Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+          Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
             "hyp.bm.rx_drops"
       in
       Sim.spawn sim (fun () ->
@@ -424,7 +422,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
          shared memory). *)
       let doorbell_cpu_ns = 300.0 in
       let net_shed pkt =
-        Metrics.incr_opt (Obs.metrics t.obs) ~by:(float_of_int pkt.Packet.count)
+        Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count
           "hyp.bm.net_shed";
         false
       in
@@ -461,9 +459,7 @@ let provision t ~name ?(net_limits = Limits.cloud_net ()) ?(blk_limits = Limits.
             with
             | `Submitted _ -> true
             | `Rejected ->
-              Metrics.incr_opt (Obs.metrics t.obs)
-                ~by:(float_of_int pkt.Packet.count)
-                "hyp.bm.vf_tx_rejects";
+              Metrics.incr_int_opt (Obs.metrics t.obs) ~by:pkt.Packet.count "hyp.bm.vf_tx_rejects";
               false
           in
           ( (fun pkt ->

@@ -427,7 +427,7 @@ module Live = struct
         Fabric.send t.fabric ~src_host:src ~dst_host:dst
           ~deliver:(fun p ->
             t.evac_bytes <- t.evac_bytes + p.Packet.size;
-            Metrics.incr_opt t.metrics ~by:(float_of_int p.Packet.size) "fleet.evac.bytes";
+            Metrics.incr_int_opt t.metrics ~by:p.Packet.size "fleet.evac.bytes";
             pump ())
           pkt
     in

@@ -300,11 +300,14 @@ let create_vm host config =
           let rec burst n acc =
             if n >= host.batch then List.rev acc
             else
-              match Vring.pop_avail (Virtio_net.tx_ring net) with
-              | Some chain ->
-                Vring.push_used (Virtio_net.tx_ring net) ~head:chain.Vring.head ~written:0;
-                burst (n + 1) (chain.Vring.payload :: acc)
-              | None -> List.rev acc
+              let ring = Virtio_net.tx_ring net in
+              let head = Vring.pop_avail ring in
+              if head < 0 then List.rev acc
+              else begin
+                let pkt = Vring.payload ring ~head in
+                Vring.push_used ring ~head ~written:0;
+                burst (n + 1) (pkt :: acc)
+              end
           in
           match burst 0 [] with
           | [] -> ()
@@ -378,20 +381,19 @@ let create_vm host config =
           match Vf.submit vf ~queue:q ~bytes_:pkt.Packet.size ~deliver with
           | `Submitted _ -> ()
           | `Rejected ->
-            Metrics.incr_opt (Obs.metrics host.obs)
-              ~by:(float_of_int pkt.Packet.count)
-              "hyp.vm.rx_drops")
+            Metrics.incr_int_opt (Obs.metrics host.obs) ~by:pkt.Packet.count "hyp.vm.rx_drops")
   in
   Sim.spawn sim (fun () ->
       let process_rx pkt =
         Cores.execute_ns host.service_cores (p.vhost_pkt_ns *. float_of_int pkt.Packet.count);
-        match Vring.pop_avail (Virtio_net.rx_ring net) with
-        | Some chain ->
-          Vring.set_payload (Virtio_net.rx_ring net) ~head:chain.Vring.head pkt;
-          Vring.push_used (Virtio_net.rx_ring net) ~head:chain.Vring.head
-            ~written:pkt.Packet.size;
+        let ring = Virtio_net.rx_ring net in
+        let head = Vring.pop_avail ring in
+        (* No posted buffer: drop. *)
+        if head >= 0 then begin
+          Vring.set_payload ring ~head pkt;
+          Vring.push_used ring ~head ~written:pkt.Packet.size;
           Virtio_net.fire_interrupt net
-        | None -> (* no posted buffer: drop *) ()
+        end
       in
       let rec loop () =
         let pkt = Sim.Bounded.recv rx_chan in
@@ -419,8 +421,8 @@ let create_vm host config =
      copies) serialises, while device-side service overlaps. *)
   let vblk_iothread = Sim.Resource.create ~capacity:1 in
   Sim.spawn sim (fun () ->
-      let process_blk chain =
-        let req = chain.Vring.payload in
+      let process_blk head =
+        let req = Vring.payload (Virtio_blk.ring blkdev) ~head in
         Sim.delay (p.vblk_sched_ns /. 2.0);
         Sim.Resource.with_resource vblk_iothread (fun () ->
             (* Under nesting the L1 hypervisor's backend is itself
@@ -453,8 +455,7 @@ let create_vm host config =
           Sim.delay (Rng.pareto vm_rng ~scale:p.vblk_hiccup_scale_ns ~shape:1.4);
         (* The completion thread itself can be preempted. *)
         Preempt.maybe_steal preempt;
-        Vring.push_used (Virtio_blk.ring blkdev) ~head:chain.Vring.head
-          ~written:req.Virtio_blk.bytes;
+        Vring.push_used (Virtio_blk.ring blkdev) ~head ~written:req.Virtio_blk.bytes;
         Virtio_blk.fire_interrupt blkdev
       in
       let rec loop () =
@@ -464,14 +465,13 @@ let create_vm host config =
           let rec burst n acc =
             if n >= host.batch then List.rev acc
             else
-              match Vring.pop_avail (Virtio_blk.ring blkdev) with
-              | Some chain -> burst (n + 1) (chain :: acc)
-              | None -> List.rev acc
+              let head = Vring.pop_avail (Virtio_blk.ring blkdev) in
+              if head < 0 then List.rev acc else burst (n + 1) (head :: acc)
           in
           match burst 0 [] with
           | [] -> ()
-          | chains ->
-            Sim.fork (fun () -> List.iter process_blk chains);
+          | heads ->
+            Sim.fork (fun () -> List.iter process_blk heads);
             if host.batch > 1 then Sim.delay poll_tick_ns;
             drain ()
         in
@@ -498,9 +498,7 @@ let create_vm host config =
     Cores.execute_ns guest_cores (natural *. cpu_factor *. factor *. cache_noise ())
   in
   let net_shed pkt =
-    Metrics.incr_opt (Obs.metrics host.obs)
-      ~by:(float_of_int pkt.Packet.count)
-      "hyp.vm.net_shed";
+    Metrics.incr_int_opt (Obs.metrics host.obs) ~by:pkt.Packet.count "hyp.vm.net_shed";
     false
   in
   let send pkt =
@@ -533,9 +531,7 @@ let create_vm host config =
         with
         | `Submitted _ -> true
         | `Rejected ->
-          Metrics.incr_opt (Obs.metrics host.obs)
-            ~by:(float_of_int pkt.Packet.count)
-            "hyp.vm.vf_tx_rejects";
+          Metrics.incr_int_opt (Obs.metrics host.obs) ~by:pkt.Packet.count "hyp.vm.vf_tx_rejects";
           false
       in
       ( (fun pkt ->

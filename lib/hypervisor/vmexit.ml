@@ -54,7 +54,9 @@ let record t reason =
   t.counts.(index reason) <- t.counts.(index reason) + 1;
   t.time_ns <- t.time_ns +. handle_ns reason;
   Trace.instant_opt (Obs.trace t.obs) ~track:t.track (name reason) ~now:(Obs.now t.obs);
-  Metrics.incr_opt (Obs.metrics t.obs) ("hyp.vmexit." ^ name reason)
+  match Obs.metrics t.obs with
+  | Some m -> Metrics.incr m ("hyp.vmexit." ^ name reason)
+  | None -> ()
 
 let count t reason = t.counts.(index reason)
 let total t = Array.fold_left ( + ) 0 t.counts

@@ -11,7 +11,8 @@ type 'a t = {
   sim : Sim.t;
   name : string;
   guest : 'a Vring.t;
-  shadow : (int * 'a) Vring.t; (* payload tagged with the guest head *)
+  shadow : 'a Vring.t;
+  guest_heads : int array; (* shadow head -> the guest head it mirrors *)
   dma : Dma.t;
   guest_link : Pcie.t;
   base_link : Pcie.t;
@@ -53,6 +54,7 @@ let create ?(obs = Obs.none) ?(fault = Fault.none) sim ~name ~guest ~dma ~guest_
     name;
     guest;
     shadow;
+    guest_heads = Array.make (Vring.size shadow) (-1);
     dma;
     guest_link;
     base_link;
@@ -77,7 +79,11 @@ let ring_index t = t.ring_index
 let set_guest_interrupt t f = t.guest_irq <- f
 let set_work_hint t f = t.work_hint <- f
 
-let chain_nsegs chain = List.length chain.Vring.out + List.length chain.Vring.in_
+(* One attempt at mirroring guest chain [gh] into the shadow ring. *)
+let mirror t gh =
+  let sh = Vring.add_mirror t.shadow ~src:t.guest ~head:gh (Vring.payload t.guest ~head:gh) in
+  if sh >= 0 then t.guest_heads.(sh) <- gh;
+  sh >= 0
 
 (* Forward mirror engine: drain new guest avail entries into the shadow
    ring, one DMA per chain (descriptors + driver->device payload). *)
@@ -85,36 +91,39 @@ let rec pump_forward t =
   (* A wedged FPGA moves no data; the pump resumes where it left off
      once the device reset completes. *)
   Fault.block_until_clear t.fault Fault.Firmware_wedge;
-  match Vring.pop_avail t.guest with
-  | None -> t.forward_running <- false
-  | Some chain ->
+  let gh = Vring.pop_avail t.guest in
+  if gh < 0 then t.forward_running <- false
+  else begin
     Trace.begin_span_opt (Obs.trace t.obs) ~track:t.track "forward" ~now:(Sim.now t.sim);
-    let bytes_ = (desc_bytes * chain_nsegs chain) + Vring.total_out_bytes chain in
-    Dma.copy t.dma ~src:t.guest_link ~dst:t.base_link ~bytes_;
-    let out = List.map snd chain.Vring.out in
-    let in_ = List.map snd chain.Vring.in_ in
-    let add () =
-      match
-        Vring.add t.shadow ~indirect:chain.Vring.indirect ~out ~in_
-          (chain.Vring.head, chain.Vring.payload)
-      with
-      | Some _ -> Ok ()
-      | None -> Error (t.name ^ ": shadow ring full")
+    let bytes_ =
+      (desc_bytes * Vring.segments t.guest ~head:gh) + Vring.out_bytes t.guest ~head:gh
     in
+    Dma.copy t.dma ~src:t.guest_link ~dst:t.base_link ~bytes_;
     (* Cannot fail while the guest ring bounds outstanding requests, but
        stay safe: retry under the backoff policy instead of dropping the
-       popped chain on the floor. *)
-    (match Fault.Guard.run t.add_guard add with
-    | Ok () ->
+       popped chain on the floor. The guard's first attempt would be
+       this same call, so only a full ring pays for its closure. *)
+    let mirrored =
+      mirror t gh
+      || Fault.Guard.run t.add_guard (fun () ->
+             if mirror t gh then Ok () else Error (t.name ^ ": shadow ring full"))
+         = Ok ()
+    in
+    if mirrored then begin
       t.forwarded <- t.forwarded + 1;
       Metrics.mark_opt (Obs.metrics t.obs) "iobond.forwarded" ~now:(Sim.now t.sim);
       Mailbox.set_head t.mailbox t.ring_index (Vring.avail_idx t.shadow);
-      Trace.counter_opt (Obs.trace t.obs) ~track:t.track "pending" ~now:(Sim.now t.sim)
-        (float_of_int (Vring.avail_pending t.shadow));
+      (match Obs.trace t.obs with
+      | Some tr ->
+        Trace.counter tr ~track:t.track "pending" ~now:(Sim.now t.sim)
+          (float_of_int (Vring.avail_pending t.shadow))
+      | None -> ());
       if Vring.avail_pending t.shadow = 1 then t.work_hint ()
-    | Error _ -> Metrics.incr_opt (Obs.metrics t.obs) "iobond.dropped_chains");
+    end
+    else Metrics.incr_opt (Obs.metrics t.obs) "iobond.dropped_chains";
     Trace.end_span_opt (Obs.trace t.obs) ~track:t.track "forward" ~now:(Sim.now t.sim);
     pump_forward t
+  end
 
 let start_forward t =
   if not t.forward_running then begin
@@ -142,16 +151,16 @@ let paused t = t.paused
 let pop t =
   if t.paused then None
   else
-    match Vring.pop_avail t.shadow with
-  | None -> None
-  | Some chain ->
-    Some
-      {
-        token = chain.Vring.head;
-        out_bytes = Vring.total_out_bytes chain;
-        in_bytes = Vring.total_in_bytes chain;
-        payload = snd chain.Vring.payload;
-      }
+    let head = Vring.pop_avail t.shadow in
+    if head < 0 then None
+    else
+      Some
+        {
+          token = head;
+          out_bytes = Vring.out_bytes t.shadow ~head;
+          in_bytes = Vring.in_bytes t.shadow ~head;
+          payload = Vring.payload t.shadow ~head;
+        }
 
 (* Burst drain, the shape every real PMD poll loop uses: up to [max]
    requests in one poll tick, in ring order. *)
@@ -167,18 +176,15 @@ let pop_batch t ~max =
 
 let complete t req ?payload ~written () =
   (match payload with
-  | Some p ->
-    (* Keep the guest-head tag, swap the payload under it. *)
-    let tag, _old = Vring.payload t.shadow ~head:req.token in
-    Vring.set_payload t.shadow ~head:req.token (tag, p)
+  | Some p -> Vring.set_payload t.shadow ~head:req.token p
   | None -> ());
   Vring.push_used t.shadow ~head:req.token ~written
 
 (* Backward mirror engine: completions flow shadow -> guest. *)
 let rec pump_backward t completed_any =
   Fault.block_until_clear t.fault Fault.Firmware_wedge;
-  match Vring.pop_used t.shadow with
-  | None ->
+  let sh = Vring.pop_used t.shadow in
+  if sh < 0 then begin
     t.backward_running <- false;
     if completed_any then begin
       t.interrupts <- t.interrupts + 1;
@@ -186,14 +192,17 @@ let rec pump_backward t completed_any =
       Metrics.incr_opt (Obs.metrics t.obs) "iobond.guest_irqs";
       t.guest_irq ()
     end
-  | Some ((guest_head, payload), written) ->
-    let bytes_ = used_elem_bytes + written in
-    Dma.copy t.dma ~src:t.base_link ~dst:t.guest_link ~bytes_;
+  end
+  else begin
+    let guest_head = t.guest_heads.(sh) and payload = Vring.reaped t.shadow in
+    let written = Vring.reaped_written t.shadow in
+    Dma.copy t.dma ~src:t.base_link ~dst:t.guest_link ~bytes_:(used_elem_bytes + written);
     Vring.set_payload t.guest ~head:guest_head payload;
     Vring.push_used t.guest ~head:guest_head ~written;
     t.completed <- t.completed + 1;
     Metrics.mark_opt (Obs.metrics t.obs) "iobond.completed" ~now:(Sim.now t.sim);
     pump_backward t true
+  end
 
 let flush t =
   Mailbox.write_tail t.mailbox t.ring_index (Vring.used_idx t.shadow);

@@ -60,28 +60,28 @@ let submit t ?(indirect = false) req =
     | Write -> ([ header_bytes; req.bytes ], [ status_bytes ])
     | Flush -> ([ header_bytes ], [ status_bytes ])
   in
-  match Vring.add t.ring ~indirect ~out ~in_ req with
-  | Some _ ->
+  if Vring.add t.ring ~indirect ~out ~in_ req >= 0 then begin
     t.submitted <- t.submitted + 1;
     Trace.instant_opt (Obs.trace t.obs) ~track:"virtio.blk" "kick" ~now:(Obs.now t.obs);
     Metrics.incr_opt (Obs.metrics t.obs) "virtio.blk.submitted";
     t.notify ();
     true
-  | None -> false
+  end
+  else false
 
 let reap t =
   let rec go n =
-    match Vring.pop_used t.ring with
-    | Some (req, _written) ->
+    if Vring.pop_used t.ring >= 0 then begin
       t.completed <- t.completed + 1;
-      Sim.Ivar.fill req.done_ (Sim.clock ());
+      Sim.Ivar.fill (Vring.reaped t.ring).done_ (Sim.clock ());
       go (n + 1)
-    | None -> n
+    end
+    else n
   in
   let n = go 0 in
   if n > 0 then begin
     Trace.instant_opt (Obs.trace t.obs) ~track:"virtio.blk" "reap" ~now:(Obs.now t.obs);
-    Metrics.mark_opt (Obs.metrics t.obs) ~n "virtio.blk.reaped" ~now:(Obs.now t.obs)
+    Metrics.mark_n_opt (Obs.metrics t.obs) ~n "virtio.blk.reaped" ~now:(Obs.now t.obs)
   end;
   n
 

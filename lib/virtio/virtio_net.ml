@@ -55,45 +55,45 @@ let probe t =
   | Error e -> Error e
 
 let xmit t ?(indirect = false) pkt =
-  match Vring.add t.tx ~indirect ~out:[ header_bytes; pkt.Packet.size ] ~in_:[] pkt with
-  | Some _head ->
+  if Vring.add t.tx ~indirect ~out:[ header_bytes; pkt.Packet.size ] ~in_:[] pkt >= 0 then begin
     t.tx_sent <- t.tx_sent + 1;
     Trace.instant_opt (Obs.trace t.obs) ~track:"virtio.net.tx" "kick" ~now:(Obs.now t.obs);
     t.notify_tx ();
     true
-  | None ->
+  end
+  else begin
     t.tx_dropped <- t.tx_dropped + 1;
     Metrics.incr_opt (Obs.metrics t.obs) "virtio.net.tx_dropped";
     false
+  end
 
 let refill_rx t ~target =
   let rec go added =
     (* Buffers usable by the device = outstanding minus completed-unreaped. *)
     if Vring.in_flight_requests t.rx - Vring.used_pending t.rx >= target then added
-    else
-      match Vring.add t.rx ~out:[] ~in_:[ header_bytes; rx_buf_bytes ] dummy_packet with
-      | Some _ -> go (added + 1)
-      | None -> added
+    else if Vring.add t.rx ~out:[] ~in_:[ header_bytes; rx_buf_bytes ] dummy_packet >= 0 then
+      go (added + 1)
+    else added
   in
   go 0
 
 let reap_tx t =
-  let rec go n = match Vring.pop_used t.tx with Some _ -> go (n + 1) | None -> n in
+  let rec go n = if Vring.pop_used t.tx >= 0 then go (n + 1) else n in
   go 0
 
 let reap_rx t =
   let rec go acc =
-    match Vring.pop_used t.rx with
-    | Some (pkt, _written) ->
+    if Vring.pop_used t.rx >= 0 then begin
       t.rx_received <- t.rx_received + 1;
-      go (pkt :: acc)
-    | None -> List.rev acc
+      go (Vring.reaped t.rx :: acc)
+    end
+    else List.rev acc
   in
   let pkts = go [] in
   (match pkts with
   | [] -> ()
   | _ :: _ ->
-    Metrics.mark_opt (Obs.metrics t.obs) ~n:(List.length pkts) "virtio.net.rx_pkts"
+    Metrics.mark_n_opt (Obs.metrics t.obs) ~n:(List.length pkts) "virtio.net.rx_pkts"
       ~now:(Obs.now t.obs));
   pkts
 

@@ -4,9 +4,9 @@
     spec: a descriptor table managed through a free list, an avail ring
     written by the driver, and a used ring written by the device. Indices
     free-run modulo 2^16 as in real hardware. Buffers carry an arbitrary
-    OCaml payload instead of guest-physical bytes; descriptor [addr]
-    values are synthetic but stable, and [len] values are real so DMA
-    cost models can meter them.
+    OCaml payload instead of guest-physical bytes, so descriptors carry
+    no buffer address; their [len] values are real so DMA cost models
+    can meter them.
 
     The same structure serves as the guest-side ring of a vm-guest
     (where the host backend maps it directly) and as both the guest ring
@@ -14,14 +14,12 @@
     Fig. 4). *)
 
 type 'a t
-
-type 'a chain = {
-  head : int;  (** head descriptor index, the ring's token for the request *)
-  out : (int * int) list;  (** driver→device segments as (addr, len) *)
-  in_ : (int * int) list;  (** device→driver segments as (addr, len) *)
-  indirect : bool;
-  payload : 'a;
-}
+(** A request is named by its {e head}: the index of its first table
+    descriptor, an int in [\[0, size)]. Every operation that finds
+    nothing to hand out returns [-1] instead of a head, so the datapath
+    allocates no option, chain record or segment list: per-request
+    state stays in the descriptor table, the request's indirect table
+    and preallocated per-head arrays. *)
 
 val create : size:int -> 'a t
 (** [create ~size] — [size] must be a power of two (spec requirement),
@@ -44,16 +42,34 @@ val in_flight_requests : 'a t -> int
 
 (** {2 Driver side} *)
 
-val add : 'a t -> ?indirect:bool -> out:int list -> in_:int list -> 'a -> int option
+val add : 'a t -> ?indirect:bool -> out:int list -> in_:int list -> 'a -> int
 (** [add t ~out ~in_ payload] queues a request whose driver→device
     segments have the byte lengths [out] and device→driver segments
     [in_]. Uses one descriptor per segment, or a single slot when
-    [indirect] (default false). Returns the head index, or [None] when
-    the table cannot hold the chain. At least one segment is required. *)
+    [indirect] (default false). Returns the head index, or [-1] when the
+    table cannot hold the chain. At least one segment is required, and
+    none may be negative ([Invalid_argument]). *)
 
-val pop_used : 'a t -> ('a * int) option
-(** Driver-side completion reaping: returns [(payload, written)] for the
-    oldest unseen used entry and recycles its descriptors. *)
+val add_mirror : 'a t -> src:'b t -> head:int -> 'a -> int
+(** [add_mirror t ~src ~head payload] queues on [t] a request with the
+    segment lengths, directions and indirection of [src]'s outstanding
+    request [head] — what IO-Bond's DMA engine does when it copies a
+    guest chain's descriptors into the shadow ring. Returns the new head
+    or [-1], as {!add}. *)
+
+val pop_used : 'a t -> int
+(** Driver-side completion reaping: the head of the oldest unseen used
+    entry, or [-1] when none is pending. Recycles the chain's
+    descriptors; its payload and written count stay readable through
+    {!reaped} and {!reaped_written} until the next [pop_used]. *)
+
+val reaped : 'a t -> 'a
+(** Payload of the request the last {!pop_used} reaped. Raises
+    [Invalid_argument] if that call returned [-1] (or none was made). *)
+
+val reaped_written : 'a t -> int
+(** Bytes the device reported written for that request. Raises as
+    {!reaped}. *)
 
 val used_pending : 'a t -> int
 (** Used entries the driver has not reaped yet. *)
@@ -63,14 +79,35 @@ val used_pending : 'a t -> int
 val avail_pending : 'a t -> int
 (** Requests the device has not popped yet. *)
 
-val pop_avail : 'a t -> 'a chain option
-(** Device-side: take the oldest unseen avail entry. *)
+val pop_avail : 'a t -> int
+(** Device-side: take the oldest unseen avail entry; its head, or [-1]. *)
 
-val peek_avail : 'a t -> 'a chain option
+val peek_avail : 'a t -> int
+(** The head {!pop_avail} would take, without taking it; or [-1]. *)
+
+(** The chain accessors below raise [Invalid_argument] unless [head] is
+    outstanding (added and not yet reaped). *)
 
 val payload : 'a t -> head:int -> 'a
-(** Current payload of an outstanding request. Raises [Invalid_argument]
-    if [head] is not outstanding. *)
+(** Current payload of an outstanding request. *)
+
+val out_bytes : 'a t -> head:int -> int
+(** Sum of the driver→device segment lengths. *)
+
+val in_bytes : 'a t -> head:int -> int
+(** Sum of the device→driver segment lengths. *)
+
+val indirect : 'a t -> head:int -> bool
+(** Whether the chain sits in an indirect table (one table slot). *)
+
+val segments : 'a t -> head:int -> int
+(** Number of segments, driver→device ones first. *)
+
+val segment_len : 'a t -> head:int -> int -> int
+(** [segment_len t ~head i] is the byte length of segment [i]. *)
+
+val segment_writable : 'a t -> head:int -> int -> bool
+(** Whether segment [i] is device→driver (F_WRITE). *)
 
 val set_payload : 'a t -> head:int -> 'a -> unit
 (** Device-side write into the request's buffers (e.g. a received packet
@@ -78,8 +115,8 @@ val set_payload : 'a t -> head:int -> 'a -> unit
 
 val push_used : 'a t -> head:int -> written:int -> unit
 (** Device-side completion: publish [head] in the used ring with
-    [written] bytes. Raises [Invalid_argument] if [head] is not an
-    outstanding popped chain. *)
+    [written] bytes. Raises [Invalid_argument] if [head] is not
+    outstanding. *)
 
 (** {2 Inspection} *)
 
@@ -107,7 +144,5 @@ val should_interrupt : 'a t -> bool
 (** Device side, after one or more {!push_used}: is an interrupt owed?
     Reading consumes the pending flag (interrupts coalesce). *)
 
-val total_out_bytes : 'a chain -> int
-val total_in_bytes : 'a chain -> int
 val check_invariants : 'a t -> (unit, string) result
 (** Internal consistency check used by the property tests. *)

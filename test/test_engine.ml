@@ -1517,3 +1517,138 @@ let overload_suites =
   ]
 
 let suites = suites @ overload_suites
+
+(* ------------------------------------------------------------------ *)
+(* The per-simulator effect handler *)
+
+(* A fiber of sim A runs sim B to completion in the middle of its own
+   work: B's fibers perform against B's handler (its clock, its delay
+   slot), and A's fiber resumes with A's clock untouched. *)
+let test_handler_nested_sims () =
+  let a = Sim.create () in
+  let log = ref [] in
+  let note who t = log := (who, t) :: !log in
+  Sim.spawn a (fun () ->
+      Sim.delay 5.0;
+      let b = Sim.create () in
+      Sim.spawn b (fun () ->
+          Sim.delay 100.0;
+          note "b1" (Sim.clock ());
+          Sim.fork (fun () ->
+              Sim.delay 1.0;
+              note "b-fork" (Sim.clock ()));
+          (try Sim.delay nan with Invalid_argument _ -> note "b-nan" (Sim.clock ()));
+          let v = Sim.suspend (fun resume -> Sim.schedule b ~delay:50.0 (fun () -> resume 7)) in
+          note "b-suspend" (float_of_int v +. Sim.clock ()));
+      Sim.spawn b (fun () ->
+          Sim.delay 200.0;
+          note "b2" (Sim.clock ()));
+      Sim.run b;
+      check_float "inner sim ran to completion" 200.0 (Sim.now b);
+      note "a-after-b" (Sim.clock ());
+      Sim.delay 3.0;
+      note "a-end" (Sim.clock ()));
+  Sim.spawn a (fun () ->
+      Sim.delay 6.0;
+      note "a2" (Sim.clock ()));
+  Sim.run a;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "each sim keeps its own clock"
+    [
+      ("b1", 100.0);
+      ("b-nan", 100.0);
+      ("b-fork", 101.0);
+      ("b-suspend", 157.0);
+      ("b2", 200.0);
+      ("a-after-b", 5.0);
+      ("a2", 6.0);
+      ("a-end", 8.0);
+    ]
+    (List.rev !log)
+
+(* Every shard's fibers run on their own simulator's handler: with the
+   shards on two domains, each fiber still wakes exactly at the
+   multiples of its own delay. *)
+let test_handler_per_shard_domain () =
+  let shards = 2 and fibers = 8 and steps = 2_000 in
+  let t = Shard.create ~shards () in
+  let bad = Array.make shards 0 and done_ = Array.make shards 0 in
+  for s = 0 to shards - 1 do
+    for f = 1 to fibers do
+      let d = float_of_int ((s * fibers) + f) in
+      Shard.spawn t s (fun () ->
+          for k = 1 to steps do
+            Sim.delay d;
+            if Sim.clock () <> float_of_int k *. d then bad.(s) <- bad.(s) + 1
+          done;
+          done_.(s) <- done_.(s) + 1)
+    done
+  done;
+  Shard.run ~domains:2 t;
+  Alcotest.(check (array int)) "every fiber finished" (Array.make shards fibers) done_;
+  Alcotest.(check (array int)) "no wake-up off its own schedule" (Array.make shards 0) bad
+
+let test_handler_effects_outside_raise () =
+  Alcotest.check_raises "delay" Sim.Not_in_simulation (fun () -> Sim.delay 1.0);
+  Alcotest.check_raises "clock" Sim.Not_in_simulation (fun () -> ignore (Sim.clock ()));
+  Alcotest.check_raises "suspend" Sim.Not_in_simulation (fun () ->
+      ignore (Sim.suspend (fun (_ : int -> unit) -> ())));
+  Alcotest.check_raises "fork" Sim.Not_in_simulation (fun () -> Sim.fork ignore);
+  (* Still true after a simulator has run: no handler lingers. *)
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.delay 1.0);
+  Sim.run sim;
+  Alcotest.check_raises "delay after a run" Sim.Not_in_simulation (fun () -> Sim.delay 1.0)
+
+let test_handler_resume_twice () =
+  let sim = Sim.create () in
+  let raised = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.suspend (fun resume ->
+          resume ();
+          try resume () with Invalid_argument _ -> raised := true));
+  Sim.run sim;
+  check_bool "second resume raises" true !raised
+
+(* Guards raise [Invalid_argument] before anything changes, so they hold
+   in builds that compile assertions out. *)
+let test_resource_guards () =
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Sim.Resource.create: capacity must be positive") (fun () ->
+      ignore (Sim.Resource.create ~capacity:0));
+  let sim = Sim.create () in
+  let r = Sim.Resource.create ~capacity:2 in
+  Sim.spawn sim (fun () ->
+      Alcotest.check_raises "over-capacity acquire"
+        (Invalid_argument "Sim.Resource.acquire: n must be in [1, capacity]") (fun () ->
+          Sim.Resource.acquire ~n:3 r);
+      Alcotest.check_raises "zero acquire"
+        (Invalid_argument "Sim.Resource.acquire: n must be in [1, capacity]") (fun () ->
+          Sim.Resource.acquire ~n:0 r);
+      check_int "nothing queued" 0 (Sim.Resource.waiting r);
+      Sim.Resource.acquire r;
+      Alcotest.check_raises "over-release"
+        (Invalid_argument "Sim.Resource.release: n must be in [1, in_use]") (fun () ->
+          Sim.Resource.release ~n:2 r);
+      check_int "over-release left use untouched" 1 (Sim.Resource.in_use r);
+      Sim.Resource.release r;
+      Alcotest.check_raises "release when idle"
+        (Invalid_argument "Sim.Resource.release: n must be in [1, in_use]") (fun () ->
+          Sim.Resource.release r);
+      check_int "never negative" 0 (Sim.Resource.in_use r));
+  Sim.run sim
+
+let handler_suites =
+  [
+    ( "engine.handler",
+      [
+        Alcotest.test_case "nested simulators" `Quick test_handler_nested_sims;
+        Alcotest.test_case "one handler per shard domain" `Quick test_handler_per_shard_domain;
+        Alcotest.test_case "effects outside a fiber raise" `Quick
+          test_handler_effects_outside_raise;
+        Alcotest.test_case "resume twice raises" `Quick test_handler_resume_twice;
+        Alcotest.test_case "resource guards" `Quick test_resource_guards;
+      ] );
+  ]
+
+let suites = suites @ handler_suites

@@ -88,6 +88,32 @@ let test_cores_utilization () =
       Sim.delay 500.0;
       check_float "50% busy" 0.5 (Cores.utilization cores ~now:(Sim.clock ())))
 
+(* Bad values raise [Invalid_argument] before the pool is touched, and a
+   job that raises mid-run still gives its thread back. *)
+let test_cores_guards () =
+  let spec = Cpu_spec.xeon_e5_2682_v4 in
+  let sim = Sim.create () in
+  Alcotest.check_raises "zero threads" (Invalid_argument "Cores.create: threads must be positive")
+    (fun () -> ignore (Cores.create sim ~spec ~threads:0 ()));
+  Alcotest.check_raises "NaN clock" (Invalid_argument "Cores.create: ghz must be positive")
+    (fun () -> ignore (Cores.create sim ~spec ~ghz:nan ()));
+  in_sim (fun sim ->
+      let cores = Cores.create sim ~spec ~threads:1 () in
+      Alcotest.check_raises "negative job"
+        (Invalid_argument "Cores.execute_ns: duration must be non-negative") (fun () ->
+          Cores.execute_ns cores (-1.0));
+      Alcotest.check_raises "NaN job"
+        (Invalid_argument "Cores.execute_ns: duration must be non-negative") (fun () ->
+          Cores.execute_ns cores nan);
+      check_int "guards left the pool idle" 0 (Cores.busy cores);
+      Cores.set_dilation cores (fun _ -> nan);
+      Alcotest.check_raises "dilated to NaN" (Invalid_argument "Sim.delay: negative or NaN")
+        (fun () -> Cores.execute_ns cores 100.0);
+      check_int "thread released on the raise" 0 (Cores.busy cores);
+      Cores.set_dilation cores Fun.id;
+      Cores.execute_ns cores 100.0;
+      check_float "pool still usable" 100.0 (Sim.clock ()))
+
 (* ------------------------------------------------------------------ *)
 (* Memory *)
 
@@ -364,6 +390,7 @@ let suites =
         Alcotest.test_case "contention" `Quick test_cores_contention;
         Alcotest.test_case "dilation hook" `Quick test_cores_dilation;
         Alcotest.test_case "utilization" `Quick test_cores_utilization;
+        Alcotest.test_case "typed guards" `Quick test_cores_guards;
       ] );
     ( "hw.memory",
       [

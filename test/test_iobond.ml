@@ -309,3 +309,107 @@ let prop_suites =
   [ ("iobond.prop", List.map QCheck_alcotest.to_alcotest [ prop_bridge_random_ops ]) ]
 
 let suites = suites @ prop_suites
+
+(* Property: the shadow round trip loses nothing and reorders nothing.
+   A guest posts random chains (direct or indirect, any segment mix) on
+   a bridged ring; a backend completes them in a random order, each
+   with a fresh payload and a written count. The guest must reap
+   exactly the backend's completions, in the backend's order, each on
+   the guest head it posted, with the backend's payload and written
+   count, and the shadow must have handed the backend each chain's byte
+   totals. *)
+let prop_bridge_round_trip =
+  let gen =
+    let lens = QCheck.Gen.(list_size (int_bound 3) (int_bound 2000)) in
+    QCheck.Gen.(
+      pair (int_range 1 1000)
+        (list_size (int_range 10 120) (triple (int_bound 99) bool (pair lens lens))))
+  in
+  QCheck.Test.make ~name:"bridge: guest heads, payloads and written survive the shadow" ~count:80
+    (QCheck.make gen) (fun (seed, ops) ->
+      let sim = Sim.create () in
+      let io = Iobond.create sim ~profile:Profile.Fpga () in
+      let guest : int Vring.t = Vring.create ~size:16 in
+      let bridge =
+        Queue_bridge.create sim ~name:"prop" ~guest ~dma:(Iobond.dma io)
+          ~guest_link:(Iobond.net_link io) ~base_link:(Iobond.base_link io)
+          ~mailbox:(Iobond.mailbox io)
+      in
+      let rng = Rng.create ~seed in
+      let posted = Hashtbl.create 64 (* id -> guest head, out bytes, in bytes *) in
+      let completed = ref [] and reaped = ref [] in
+      let next_id = ref 0 in
+      Queue_bridge.set_guest_interrupt bridge (fun () ->
+          let rec reap () =
+            let head = Vring.pop_used guest in
+            if head >= 0 then begin
+              reaped := (head, Vring.reaped guest, Vring.reaped_written guest) :: !reaped;
+              reap ()
+            end
+          in
+          reap ());
+      let bad = ref None in
+      let pool = ref [] in
+      let complete_one () =
+        match !pool with
+        | [] -> ()
+        | l ->
+          let req = List.nth l (Rng.int rng (List.length l)) in
+          pool := List.filter (fun r -> r != req) l;
+          let id = req.Queue_bridge.payload in
+          let _, out_bytes, in_bytes = Hashtbl.find posted id in
+          if req.Queue_bridge.out_bytes <> out_bytes || req.Queue_bridge.in_bytes <> in_bytes then
+            bad := Some (Printf.sprintf "byte totals of request %d" id);
+          let reply = 1_000_000 + id and written = (id * 37) mod 4096 in
+          Queue_bridge.complete bridge req ~payload:reply ~written ();
+          Queue_bridge.flush bridge;
+          completed := (id, reply, written) :: !completed
+      in
+      Sim.spawn sim (fun () ->
+          List.iter
+            (fun (op, indirect, (out, in_)) ->
+              if op < 45 then begin
+                if out <> [] || in_ <> [] then begin
+                  let id = !next_id in
+                  let head = Vring.add guest ~indirect ~out ~in_ id in
+                  if head >= 0 then begin
+                    incr next_id;
+                    let sum = List.fold_left ( + ) 0 in
+                    Hashtbl.replace posted id (head, sum out, sum in_);
+                    Queue_bridge.guest_notify bridge
+                  end
+                end
+              end
+              else if op < 70 then
+                match Queue_bridge.pop bridge with Some req -> pool := req :: !pool | None -> ()
+              else if op < 90 then complete_one ()
+              else Sim.delay (Rng.float rng 3_000.0))
+            ops;
+          (* Drain: mirror, complete and reap everything still posted. *)
+          let rec drain () =
+            Sim.delay 20_000.0;
+            (match Queue_bridge.pop bridge with Some req -> pool := req :: !pool | None -> ());
+            complete_one ();
+            if !pool <> [] || Queue_bridge.pending bridge > 0 || List.length !completed < !next_id
+            then drain ()
+          in
+          drain ());
+      Sim.run ~until:Simtime.(sec 1.0) sim;
+      let expected =
+        List.rev_map
+          (fun (id, reply, written) ->
+            let head, _, _ = Hashtbl.find posted id in
+            (head, reply, written))
+          !completed
+      in
+      match !bad with
+      | Some e -> QCheck.Test.fail_report e
+      | None ->
+        List.length expected = !next_id
+        && List.rev !reaped = expected
+        && Queue_bridge.check_invariants bridge = Ok ())
+
+let round_trip_suites =
+  [ ("iobond.prop.round_trip", [ QCheck_alcotest.to_alcotest prop_bridge_round_trip ]) ]
+
+let suites = suites @ round_trip_suites

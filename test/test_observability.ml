@@ -452,6 +452,27 @@ let test_bm_datapath_covers_layers () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* With no registry attached, the int-step metric calls allocate
+   nothing: the float conversion and the [Some n] box happen only on
+   the sink side of the check. *)
+let test_no_sink_no_alloc () =
+  let m : Metrics.t option = Sys.opaque_identity None in
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    Metrics.incr_int_opt m ~by:i "x.count";
+    Metrics.mark_n_opt m ~n:i "x.rate" ~now:1.0
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f words for %d calls" words calls) true (words < 64.0);
+  let reg = Metrics.create () in
+  Metrics.incr_int_opt (Some reg) ~by:3 "x.count";
+  Metrics.mark_n_opt (Some reg) ~n:4 "x.rate" ~now:1.0;
+  check_float "counter counts with a sink" 3.0 (Metrics.counter_value reg "x.count");
+  match Metrics.meter reg "x.rate" with
+  | Some meter -> check_int "meter marks with a sink" 4 (Stats.Meter.count meter)
+  | None -> Alcotest.fail "meter not registered"
+
 let suites =
   [
     qsuite "observability.histogram.prop"
@@ -476,6 +497,7 @@ let suites =
         Alcotest.test_case "merge" `Quick test_metrics_merge;
         Alcotest.test_case "merge rejects kind mismatch" `Quick test_metrics_merge_wrong_kind;
         Alcotest.test_case "table rows" `Quick test_metrics_render_shape;
+        Alcotest.test_case "no sink, no allocation" `Quick test_no_sink_no_alloc;
       ] );
     ( "observability.determinism",
       [

@@ -22,47 +22,47 @@ let test_vring_create_validation () =
 let test_vring_roundtrip () =
   let r = Vring.create ~size:8 in
   let p = pkt 1 in
-  (match Vring.add r ~out:[ 12; 64 ] ~in_:[] p with
-  | None -> Alcotest.fail "add failed"
-  | Some head ->
-    check_int "two descs consumed" 6 (Vring.num_free r);
-    check_int "avail pending" 1 (Vring.avail_pending r);
-    (match Vring.pop_avail r with
-    | None -> Alcotest.fail "nothing avail"
-    | Some chain ->
-      check_int "head matches" head chain.Vring.head;
-      check_int "out bytes" 76 (Vring.total_out_bytes chain);
-      check_int "in bytes" 0 (Vring.total_in_bytes chain);
-      check_bool "payload preserved" true (chain.Vring.payload == p));
-    Vring.push_used r ~head ~written:0;
-    (match Vring.pop_used r with
-    | Some (payload, written) ->
-      check_bool "payload back" true (payload == p);
-      check_int "written" 0 written
-    | None -> Alcotest.fail "no used entry"));
-  check_int "descs recycled" 8 (Vring.num_free r)
+  let head = Vring.add r ~out:[ 12; 64 ] ~in_:[] p in
+  if head < 0 then Alcotest.fail "add failed";
+  check_int "two descs consumed" 6 (Vring.num_free r);
+  check_int "avail pending" 1 (Vring.avail_pending r);
+  let popped = Vring.pop_avail r in
+  if popped < 0 then Alcotest.fail "nothing avail";
+  check_int "head matches" head popped;
+  check_int "out bytes" 76 (Vring.out_bytes r ~head);
+  check_int "in bytes" 0 (Vring.in_bytes r ~head);
+  check_bool "payload preserved" true (Vring.payload r ~head == p);
+  Vring.push_used r ~head ~written:0;
+  check_int "reaped head" head (Vring.pop_used r);
+  check_bool "payload back" true (Vring.reaped r == p);
+  check_int "written" 0 (Vring.reaped_written r);
+  check_int "descs recycled" 8 (Vring.num_free r);
+  check_int "nothing more used" (-1) (Vring.pop_used r);
+  Alcotest.check_raises "empty reap has no payload"
+    (Invalid_argument "Vring.reaped: the last pop_used reaped nothing") (fun () ->
+      ignore (Vring.reaped r))
 
 let test_vring_fills_up () =
   let r = Vring.create ~size:4 in
   (* Each request takes 2 descriptors: only 2 fit. *)
-  check_bool "1st" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 1) <> None);
-  check_bool "2nd" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 2) <> None);
-  check_bool "3rd rejected" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 3) = None);
+  check_bool "1st" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 1) >= 0);
+  check_bool "2nd" true (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 2) >= 0);
+  check_int "3rd rejected" (-1) (Vring.add r ~out:[ 12; 64 ] ~in_:[] (pkt 3));
   check_int "no free" 0 (Vring.num_free r)
 
 let test_vring_indirect_single_slot () =
   let r = Vring.create ~size:4 in
   (* An 8-segment request fits in one slot with indirect descriptors. *)
   let segs = [ 16; 512; 512; 512; 512; 512; 512; 1 ] in
-  check_bool "direct rejected" true (Vring.add r ~out:segs ~in_:[] (pkt 1) = None);
-  check_bool "indirect accepted" true
-    (Vring.add r ~indirect:true ~out:segs ~in_:[] (pkt 1) <> None);
+  check_int "direct rejected" (-1) (Vring.add r ~out:segs ~in_:[] (pkt 1));
+  check_bool "indirect accepted" true (Vring.add r ~indirect:true ~out:segs ~in_:[] (pkt 1) >= 0);
   check_int "one desc used" 3 (Vring.num_free r);
-  match Vring.pop_avail r with
-  | Some chain ->
-    check_bool "flagged indirect" true chain.Vring.indirect;
-    check_int "all segments visible" 8 (List.length chain.Vring.out)
-  | None -> Alcotest.fail "indirect chain not available"
+  let head = Vring.pop_avail r in
+  if head < 0 then Alcotest.fail "indirect chain not available";
+  check_bool "flagged indirect" true (Vring.indirect r ~head);
+  check_int "all segments visible" 8 (Vring.segments r ~head);
+  Alcotest.(check (list int)) "segment lengths" segs
+    (List.init 8 (fun i -> Vring.segment_len r ~head i))
 
 let test_vring_fifo_order () =
   let r = Vring.create ~size:16 in
@@ -70,19 +70,22 @@ let test_vring_fifo_order () =
     ignore (Vring.add r ~out:[ 64 ] ~in_:[] (pkt i))
   done;
   for i = 1 to 5 do
-    match Vring.pop_avail r with
-    | Some chain -> check_int "fifo" i chain.Vring.payload.Packet.id
-    | None -> Alcotest.fail "missing chain"
+    let head = Vring.pop_avail r in
+    if head < 0 then Alcotest.fail "missing chain";
+    check_int "fifo" i (Vring.payload r ~head).Packet.id
   done
 
 let test_vring_out_of_order_completion () =
   let r = Vring.create ~size:16 in
-  let heads = List.filter_map (fun i -> Vring.add r ~out:[ 64 ] ~in_:[] (pkt i)) [ 1; 2; 3 ] in
+  let heads = List.map (fun i -> Vring.add r ~out:[ 64 ] ~in_:[] (pkt i)) [ 1; 2; 3 ] in
+  check_bool "all added" true (List.for_all (fun h -> h >= 0) heads);
   List.iter (fun _ -> ignore (Vring.pop_avail r)) heads;
   (* Complete in reverse order: driver reaps in completion order. *)
   List.iter (fun head -> Vring.push_used r ~head ~written:0) (List.rev heads);
   let ids =
-    List.filter_map (fun _ -> Option.map (fun (p, _) -> p.Packet.id) (Vring.pop_used r)) heads
+    List.filter_map
+      (fun _ -> if Vring.pop_used r >= 0 then Some (Vring.reaped r).Packet.id else None)
+      heads
   in
   Alcotest.(check (list int)) "completion order" [ 3; 2; 1 ] ids;
   check_int "all recycled" 16 (Vring.num_free r)
@@ -90,18 +93,15 @@ let test_vring_out_of_order_completion () =
 let test_vring_set_payload () =
   let r = Vring.create ~size:8 in
   let placeholder = pkt 0 in
-  (match Vring.add r ~out:[] ~in_:[ 12; 1536 ] placeholder with
-  | None -> Alcotest.fail "add failed"
-  | Some head ->
-    ignore (Vring.pop_avail r);
-    let received = pkt 42 in
-    Vring.set_payload r ~head received;
-    Vring.push_used r ~head ~written:received.Packet.size;
-    (match Vring.pop_used r with
-    | Some (p, written) ->
-      check_int "device payload" 42 p.Packet.id;
-      check_int "written" 64 written
-    | None -> Alcotest.fail "no used"))
+  let head = Vring.add r ~out:[] ~in_:[ 12; 1536 ] placeholder in
+  if head < 0 then Alcotest.fail "add failed";
+  ignore (Vring.pop_avail r);
+  let received = pkt 42 in
+  Vring.set_payload r ~head received;
+  Vring.push_used r ~head ~written:received.Packet.size;
+  if Vring.pop_used r < 0 then Alcotest.fail "no used";
+  check_int "device payload" 42 (Vring.reaped r).Packet.id;
+  check_int "written" 64 (Vring.reaped_written r)
 
 let test_vring_push_used_unpopped_rejected () =
   let r = Vring.create ~size:8 in
@@ -113,16 +113,14 @@ let test_vring_index_wraparound () =
   let r = Vring.create ~size:4 in
   (* Cycle far past 2^16 to exercise free-running index wrap. *)
   for i = 0 to 70_000 do
-    match Vring.add r ~out:[ 64 ] ~in_:[] (pkt i) with
-    | None -> Alcotest.fail "ring should never be full in lockstep"
-    | Some head ->
-      (match Vring.pop_avail r with
-      | Some chain -> check_int "lockstep id" i chain.Vring.payload.Packet.id
-      | None -> Alcotest.fail "avail missing");
-      Vring.push_used r ~head ~written:0;
-      (match Vring.pop_used r with
-      | Some (p, _) -> if p.Packet.id <> i then Alcotest.failf "wrap mismatch at %d" i
-      | None -> Alcotest.fail "used missing")
+    let head = Vring.add r ~out:[ 64 ] ~in_:[] (pkt i) in
+    if head < 0 then Alcotest.fail "ring should never be full in lockstep";
+    let popped = Vring.pop_avail r in
+    if popped < 0 then Alcotest.fail "avail missing";
+    check_int "lockstep id" i (Vring.payload r ~head:popped).Packet.id;
+    Vring.push_used r ~head ~written:0;
+    if Vring.pop_used r < 0 then Alcotest.fail "used missing";
+    if (Vring.reaped r).Packet.id <> i then Alcotest.failf "wrap mismatch at %d" i
   done;
   check_bool "invariants hold after wrap" true (Vring.check_invariants r = Ok ())
 
@@ -140,22 +138,19 @@ let prop_vring_random_ops =
           (* driver add: 1-3 segments, sometimes indirect *)
           let nsegs = 1 + (op mod 3) in
           let indirect = op mod 7 = 0 in
-          match Vring.add r ~indirect ~out:(List.init nsegs (fun i -> 64 * (i + 1))) ~in_:[] (pkt op) with
-          | Some _ -> incr added
-          | None -> ()
+          let out = List.init nsegs (fun i -> 64 * (i + 1)) in
+          if Vring.add r ~indirect ~out ~in_:[] (pkt op) >= 0 then incr added
         end
         else if op < 70 then begin
-          match Vring.pop_avail r with
-          | Some chain -> Queue.add chain.Vring.head popped
-          | None -> ()
+          let head = Vring.pop_avail r in
+          if head >= 0 then Queue.add head popped
         end
         else if op < 85 then begin
           match Queue.take_opt popped with
           | Some head -> Vring.push_used r ~head ~written:0
           | None -> ()
         end
-        else
-          match Vring.pop_used r with Some _ -> incr reaped | None -> ()
+        else if Vring.pop_used r >= 0 then incr reaped
       in
       List.iter step ops;
       match Vring.check_invariants r with
@@ -168,36 +163,34 @@ let prop_vring_conservation =
     (fun ids ->
       let r = Vring.create ~size:16 in
       let seen = Hashtbl.create 64 in
+      let note p =
+        Hashtbl.replace seen p.Packet.id
+          (1 + Option.value ~default:0 (Hashtbl.find_opt seen p.Packet.id))
+      in
       let submit_and_drain id =
-        match Vring.add r ~out:[ 64 ] ~in_:[] (pkt id) with
-        | None ->
+        if Vring.add r ~out:[ 64 ] ~in_:[] (pkt id) < 0 then begin
           (* ring full: drain device and driver sides, then retry once *)
-          (match Vring.pop_avail r with
-          | Some chain -> Vring.push_used r ~head:chain.Vring.head ~written:0
-          | None -> ());
-          (match Vring.pop_used r with
-          | Some (p, _) -> Hashtbl.replace seen p.Packet.id (1 + Option.value ~default:0 (Hashtbl.find_opt seen p.Packet.id))
-          | None -> ());
+          let head = Vring.pop_avail r in
+          if head >= 0 then Vring.push_used r ~head ~written:0;
+          if Vring.pop_used r >= 0 then note (Vring.reaped r);
           ignore (Vring.add r ~out:[ 64 ] ~in_:[] (pkt id))
-        | Some _ -> ()
+        end
       in
       List.iter submit_and_drain ids;
       (* Drain everything. *)
       let rec drain () =
-        match Vring.pop_avail r with
-        | Some chain ->
-          Vring.push_used r ~head:chain.Vring.head ~written:0;
+        let head = Vring.pop_avail r in
+        if head >= 0 then begin
+          Vring.push_used r ~head ~written:0;
           drain ()
-        | None -> ()
+        end
       in
       drain ();
       let rec reap () =
-        match Vring.pop_used r with
-        | Some (p, _) ->
-          Hashtbl.replace seen p.Packet.id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt seen p.Packet.id));
+        if Vring.pop_used r >= 0 then begin
+          note (Vring.reaped r);
           reap ()
-        | None -> ()
+        end
       in
       reap ();
       Hashtbl.fold (fun _ n ok -> ok && n >= 1) seen true
@@ -264,11 +257,10 @@ let test_net_xmit_and_backend_drain () =
   check_int "kicked" 1 !kicks;
   (* Backend drains the tx ring. *)
   let ring = Virtio_net.tx_ring dev in
-  (match Vring.pop_avail ring with
-  | Some chain ->
-    check_int "hdr+payload" (12 + 64) (Vring.total_out_bytes chain);
-    Vring.push_used ring ~head:chain.Vring.head ~written:0
-  | None -> Alcotest.fail "backend saw nothing");
+  let head = Vring.pop_avail ring in
+  if head < 0 then Alcotest.fail "backend saw nothing";
+  check_int "hdr+payload" (12 + 64) (Vring.out_bytes ring ~head);
+  Vring.push_used ring ~head ~written:0;
   check_int "reaped" 1 (Virtio_net.reap_tx dev)
 
 let test_net_rx_path () =
@@ -282,13 +274,12 @@ let test_net_rx_path () =
   let ring = Virtio_net.rx_ring dev in
   List.iter
     (fun id ->
-      match Vring.pop_avail ring with
-      | Some chain ->
-        let p = pkt id in
-        Vring.set_payload ring ~head:chain.Vring.head p;
-        Vring.push_used ring ~head:chain.Vring.head ~written:p.Packet.size;
-        Virtio_net.fire_interrupt dev
-      | None -> Alcotest.fail "no rx buffer")
+      let head = Vring.pop_avail ring in
+      if head < 0 then Alcotest.fail "no rx buffer";
+      let p = pkt id in
+      Vring.set_payload ring ~head p;
+      Vring.push_used ring ~head ~written:p.Packet.size;
+      Virtio_net.fire_interrupt dev)
     [ 100; 101 ];
   check_int "two interrupts" 2 !irqs;
   let received = Virtio_net.reap_rx dev in
@@ -327,13 +318,12 @@ let test_blk_submit_complete () =
   Sim.spawn sim (fun () ->
       Sim.delay 100_000.0;
       let ring = Virtio_blk.ring dev in
-      (match Vring.pop_avail ring with
-      | Some chain ->
-        (* read request: header out, data + status in *)
-        check_int "out = header" 16 (Vring.total_out_bytes chain);
-        check_int "in = data+status" 4097 (Vring.total_in_bytes chain);
-        Vring.push_used ring ~head:chain.Vring.head ~written:4097
-      | None -> Alcotest.fail "no request");
+      let head = Vring.pop_avail ring in
+      if head < 0 then Alcotest.fail "no request";
+      (* read request: header out, data + status in *)
+      check_int "out = header" 16 (Vring.out_bytes ring ~head);
+      check_int "in = data+status" 4097 (Vring.in_bytes ring ~head);
+      Vring.push_used ring ~head ~written:4097;
       ignore (Virtio_blk.reap dev));
   Sim.run sim;
   Alcotest.(check (float 1.0)) "latency = backend delay" 100_000.0 !latency
@@ -342,11 +332,11 @@ let test_blk_write_layout () =
   let dev = Virtio_blk.create ~on_access:ignore () in
   let req = Virtio_blk.make_req ~op:Virtio_blk.Write ~sector:8 ~bytes:8192 ~now:0.0 in
   check_bool "submitted" true (Virtio_blk.submit dev req);
-  match Vring.pop_avail (Virtio_blk.ring dev) with
-  | Some chain ->
-    check_int "out = header+data" (16 + 8192) (Vring.total_out_bytes chain);
-    check_int "in = status" 1 (Vring.total_in_bytes chain)
-  | None -> Alcotest.fail "no request"
+  let ring = Virtio_blk.ring dev in
+  let head = Vring.pop_avail ring in
+  if head < 0 then Alcotest.fail "no request";
+  check_int "out = header+data" (16 + 8192) (Vring.out_bytes ring ~head);
+  check_int "in = status" 1 (Vring.in_bytes ring ~head)
 
 let test_blk_queue_depth () =
   let dev = Virtio_blk.create ~queue_size:8 ~on_access:ignore () in
@@ -405,16 +395,17 @@ let suites =
 let test_event_idx_interrupt_suppression () =
   let r = Vring.create ~size:16 in
   (* Without arming: every completion owes an interrupt. *)
-  (match Vring.add r ~out:[ 64 ] ~in_:[] (pkt 1) with
-  | Some head ->
-    ignore (Vring.pop_avail r);
-    Vring.push_used r ~head ~written:0;
-    check_bool "default fires" true (Vring.should_interrupt r);
-    check_bool "flag consumed" false (Vring.should_interrupt r);
-    ignore (Vring.pop_used r)
-  | None -> Alcotest.fail "add failed");
+  let head = Vring.add r ~out:[ 64 ] ~in_:[] (pkt 1) in
+  if head < 0 then Alcotest.fail "add failed";
+  ignore (Vring.pop_avail r);
+  Vring.push_used r ~head ~written:0;
+  check_bool "default fires" true (Vring.should_interrupt r);
+  check_bool "flag consumed" false (Vring.should_interrupt r);
+  ignore (Vring.pop_used r);
   (* Armed: only the crossing completion fires. *)
-  let heads = List.filter_map (fun i -> Vring.add r ~out:[ 64 ] ~in_:[] (pkt i)) [ 1; 2; 3; 4 ] in
+  let heads =
+    List.filter (fun h -> h >= 0) (List.map (fun i -> Vring.add r ~out:[ 64 ] ~in_:[] (pkt i)) [ 1; 2; 3; 4 ])
+  in
   List.iter (fun _ -> ignore (Vring.pop_avail r)) heads;
   (* Driver: "interrupt me when used_idx passes old+3". *)
   Vring.set_used_event r (Vring.used_idx r + 2);
@@ -457,11 +448,161 @@ let test_vring_payload_accessor () =
   let r = Vring.create ~size:8 in
   Alcotest.check_raises "absent head" (Invalid_argument "Vring.payload: head not outstanding")
     (fun () -> ignore (Vring.payload r ~head:2));
-  match Vring.add r ~out:[ 64 ] ~in_:[] (pkt 9) with
-  | Some head -> check_int "payload visible" 9 (Vring.payload r ~head).Packet.id
-  | None -> Alcotest.fail "add failed"
+  let head = Vring.add r ~out:[ 64 ] ~in_:[] (pkt 9) in
+  if head < 0 then Alcotest.fail "add failed";
+  check_int "payload visible" 9 (Vring.payload r ~head).Packet.id
 
 let accessor_suites =
   [ ("virtio.accessors", [ Alcotest.test_case "payload accessor" `Quick test_vring_payload_accessor ]) ]
 
 let suites = suites @ accessor_suites
+
+(* ------------------------------------------------------------------ *)
+(* Model check: the ring against a list reference *)
+
+type ring_op =
+  | Add of bool * int list * int list  (** indirect, out lengths, in lengths *)
+  | Pop_avail
+  | Set_payload of int  (** k-th popped, not yet completed, request *)
+  | Push_used of int * int  (** k-th popped request, written *)
+  | Pop_used
+
+let show_ring_op = function
+  | Add (ind, out, in_) ->
+    let l xs = String.concat ";" (List.map string_of_int xs) in
+    Printf.sprintf "Add(%b,[%s],[%s])" ind (l out) (l in_)
+  | Pop_avail -> "Pop_avail"
+  | Set_payload k -> Printf.sprintf "Set_payload %d" k
+  | Push_used (k, w) -> Printf.sprintf "Push_used(%d,%d)" k w
+  | Pop_used -> "Pop_used"
+
+let gen_ring_op =
+  let open QCheck.Gen in
+  let lens = list_size (int_bound 3) (int_bound 3000) in
+  frequency
+    [
+      (4, map3 (fun ind out in_ -> Add (ind, out, in_)) bool lens lens);
+      (3, return Pop_avail);
+      (1, map (fun k -> Set_payload k) small_nat);
+      (3, map2 (fun k w -> Push_used (k, w)) small_nat (int_bound 5000));
+      (3, return Pop_used);
+    ]
+
+(* What the reference keeps per outstanding request. *)
+type model_req = { mutable id : int; out : int list; in_ : int list; ind : bool }
+
+(* The generator draws the ring size, a lockstep warm-up that parks the
+   free-running indices just short of 2^16 (or leaves them at 0), and
+   the operation sequence; after every step the ring must agree with
+   the reference and pass [check_invariants]. *)
+let prop_vring_model =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 4) (oneof [ return 0; int_range 65_400 65_535 ])
+        (list_size (int_range 20 300) gen_ring_op))
+  in
+  let print (e, warm, ops) =
+    Printf.sprintf "size 2^%d, warm-up %d, [%s]" e warm
+      (String.concat "; " (List.map show_ring_op ops))
+  in
+  QCheck.Test.make ~name:"vring agrees with a list model, across index wrap" ~count:150
+    (QCheck.make ~print gen)
+    (fun (size_exp, warm, ops) ->
+      let size = 1 lsl size_exp in
+      let r : int Vring.t = Vring.create ~size in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      for i = 1 to warm do
+        let head = Vring.add r ~out:[ 8 ] ~in_:[] (-i) in
+        ignore (Vring.pop_avail r);
+        Vring.push_used r ~head ~written:0;
+        ignore (Vring.pop_used r)
+      done;
+      let table = Hashtbl.create 16 in
+      let avail = Queue.create () in
+      let popped = ref [] (* oldest first *) in
+      let used = Queue.create () in
+      let free = ref size and next_id = ref 0 in
+      let nth_popped k =
+        match !popped with [] -> None | l -> Some (List.nth l (k mod List.length l))
+      in
+      let remove_popped h = popped := List.filter (fun h' -> h' <> h) !popped in
+      let check_chain head m =
+        let segs = m.out @ m.in_ in
+        if Vring.segments r ~head <> List.length segs then fail "segment count of %d" head;
+        List.iteri
+          (fun i len ->
+            if Vring.segment_len r ~head i <> len then fail "segment %d length of %d" i head;
+            if Vring.segment_writable r ~head i <> (i >= List.length m.out) then
+              fail "segment %d direction of %d" i head)
+          segs;
+        let sum = List.fold_left ( + ) 0 in
+        if Vring.out_bytes r ~head <> sum m.out || Vring.in_bytes r ~head <> sum m.in_ then
+          fail "byte totals of %d" head;
+        if Vring.indirect r ~head <> m.ind then fail "indirect flag of %d" head;
+        if Vring.payload r ~head <> m.id then fail "payload of %d" head
+      in
+      let step op =
+        (match op with
+        | Add (ind, [], []) ->
+          (match Vring.add r ~indirect:ind ~out:[] ~in_:[] 0 with
+          | _ -> fail "empty chain accepted"
+          | exception Invalid_argument _ -> ())
+        | Add (ind, out, in_) ->
+          let needed = if ind then 1 else List.length out + List.length in_ in
+          let fits = needed <= !free && Queue.length avail < size in
+          let id = !next_id in
+          incr next_id;
+          let head = Vring.add r ~indirect:ind ~out ~in_ id in
+          if fits <> (head >= 0) then fail "add acceptance: model %b, ring head %d" fits head;
+          if head >= 0 then begin
+            if Hashtbl.mem table head then fail "head %d handed out twice" head;
+            Hashtbl.replace table head { id; out; in_; ind };
+            Queue.add head avail;
+            free := !free - needed
+          end
+        | Pop_avail ->
+          let head = Vring.pop_avail r in
+          (match Queue.take_opt avail with
+          | None -> if head <> -1 then fail "pop_avail %d from an empty ring" head
+          | Some h ->
+            if head <> h then fail "pop_avail: model %d, ring %d" h head;
+            check_chain head (Hashtbl.find table head);
+            popped := !popped @ [ head ])
+        | Set_payload k -> (
+          match nth_popped k with
+          | None -> ()
+          | Some head ->
+            let m = Hashtbl.find table head in
+            m.id <- !next_id;
+            incr next_id;
+            Vring.set_payload r ~head m.id)
+        | Push_used (k, written) -> (
+          match nth_popped k with
+          | None -> ()
+          | Some head ->
+            remove_popped head;
+            Vring.push_used r ~head ~written;
+            Queue.add (head, written) used)
+        | Pop_used ->
+          let head = Vring.pop_used r in
+          (match Queue.take_opt used with
+          | None -> if head <> -1 then fail "pop_used %d with nothing used" head
+          | Some (h, written) ->
+            let m = Hashtbl.find table h in
+            if head <> h then fail "pop_used: model %d, ring %d" h head;
+            if Vring.reaped r <> m.id then fail "reaped payload of %d" h;
+            if Vring.reaped_written r <> written then fail "reaped written of %d" h;
+            Hashtbl.remove table h;
+            free := !free + if m.ind then 1 else List.length m.out + List.length m.in_));
+        (match Vring.check_invariants r with Ok () -> () | Error e -> fail "%s" e);
+        if Vring.num_free r <> !free then
+          fail "num_free: model %d, ring %d" !free (Vring.num_free r);
+        if Vring.avail_pending r <> Queue.length avail then fail "avail_pending";
+        if Vring.used_pending r <> Queue.length used then fail "used_pending";
+        if Vring.in_flight_requests r <> Hashtbl.length table then fail "in_flight_requests"
+      in
+      List.iter step ops;
+      true)
+
+let model_suites = [ qsuite "virtio.vring.model" [ prop_vring_model ] ]
+let suites = suites @ model_suites
