@@ -94,37 +94,16 @@ val provision :
     completions directly into the guest at device latency, skipping
     the bm-hypervisor poll loop; block I/O stays on the shadow-vring
     path either way. When the pool is exhausted, [Sliced] falls back
-    to [Vring] (see {!vf_fallbacks}); {!guest_datapath} reports the
-    path actually granted. *)
+    to [Vring] and bumps ["hyp.bm.vf_fallbacks"]. *)
 
 val release : server -> name:string -> unit
-(** Power the board off and return it to the free pool. A VF-backed
-    guest's function is hot-unplugged (drained on the agenda, then
-    freed for the next attachment). *)
+(** Power the board off and return it to the free pool. The guest's
+    endpoint leaves the vswitch at once, so bursts still addressed to it
+    are unknown-destination drops. A VF-backed guest's function is
+    hot-unplugged (drained on the agenda, then freed for the next
+    attachment). *)
 
 val guest_board : server -> name:string -> Bm_guest.Board.t option
-
-(** {2 SR-IOV pool} *)
-
-val vf_capacity : server -> int
-(** Virtual functions the server's shared pool can hand out. *)
-
-val vf_free : server -> int
-(** Currently unattached pool VFs (the full capacity before first use). *)
-
-val vf_fallbacks : server -> int
-(** [Sliced] provisions that found the pool exhausted and fell back to
-    the shadow-vring path. *)
-
-val vf_pool_device : server -> Bm_iobond.Vf.dev option
-(** The shared pool device, once something attached to it — for the
-    per-VF report table and the reassignment experiments. *)
-
-val guest_datapath : server -> name:string -> Bm_iobond.Vf.datapath option
-(** The net datapath the guest actually got (after any fallback). *)
-
-val guest_vf : server -> name:string -> Bm_iobond.Vf.vf option
-(** The guest's virtual function, for SVFF-style hot-reassignment. *)
 
 val offload_table : server -> name:string -> Bm_iobond.Offload.t option
 (** The guest's flow-offload engine when provisioned with [~offload]. *)

@@ -37,7 +37,6 @@ val create_host :
   ?spec:Bm_hw.Cpu_spec.t ->
   ?sockets:int ->
   ?params:params ->
-  ?batch:int ->
   ?vfs:int ->
   ?vf_queues:int ->
   unit ->
@@ -48,13 +47,8 @@ val create_host :
     they respawn and drain the shared-memory rings from where they left
     off (["hyp.vm.vhost_crashes"] / ["hyp.vm.vhost_respawns"]).
 
-    [batch] (default 1) is the vhost poll-tick burst: each backend drain
-    pulls up to [batch] descriptors per worker fiber, charging the same
-    per-descriptor simulated costs but one host-side scheduler event per
-    burst. At the default the drain stays hint-driven and the event
-    schedule is bit-identical to the unbatched engine; at [batch > 1]
-    the worker sleeps a 1 µs poll tick between bursts so descriptors
-    accumulate into them. Raises [Invalid_argument] if [batch < 1].
+    The vhost workers drain one descriptor per worker fiber, purely
+    hint-driven (the bm path's [batch] of 1).
 
     [vfs] (default 8) and [vf_queues] (default 2) size the host's
     VFIO-capable SR-IOV NIC (an ASIC part), created on first use by a
@@ -62,18 +56,6 @@ val create_host :
 
 val vswitch : host -> Bm_cloud.Vswitch.t
 val sellable_threads : host -> int
-val service_cores : host -> Bm_hw.Cores.t
-
-(** {2 SR-IOV pool} *)
-
-val vf_capacity : host -> int
-val vf_free : host -> int
-
-val vf_fallbacks : host -> int
-(** [Sliced] VMs that found the pool exhausted and fell back to vhost. *)
-
-val vf_pool_device : host -> Bm_iobond.Vf.dev option
-
 type vm_config = {
   name : string;
   vcpus : int;
@@ -92,7 +74,8 @@ type vm_config = {
           pins a whole SR-IOV device (VFIO), [Sliced] one VF of the
           host NIC — both skip the vhost workers, tx doorbells stop
           exiting, and completions inject directly. Falls back to
-          [Vring] when the pool is exhausted (see {!vf_fallbacks}). *)
+          [Vring] when the pool is exhausted (counted as
+          ["hyp.vm.vf_fallbacks"]). *)
 }
 
 val default_config : name:string -> vm_config
@@ -100,15 +83,10 @@ val default_config : name:string -> vm_config
 
 val create_vm : host -> vm_config -> Bm_guest.Instance.t
 (** Provision a vm-guest: builds its vCPU pool, virtio devices, vhost
-    backend threads, and returns the uniform instance handle. *)
+    backend threads, and returns the uniform instance handle. Raises
+    [Invalid_argument], with the host unchanged, if [vcpus < 1], if a VM
+    of that [name] already exists, or if the host has fewer sellable
+    threads left than [vcpus]. *)
 
 val exit_counters : host -> name:string -> Vmexit.counters option
 (** Per-VM exit telemetry. *)
-
-val preempt_of : host -> name:string -> Preempt.t option
-
-val vm_datapath : host -> name:string -> Bm_iobond.Vf.datapath option
-(** The net datapath the VM actually got (after any fallback). *)
-
-val vm_vf : host -> name:string -> Bm_iobond.Vf.vf option
-(** The VM's assigned virtual function, for hot-reassignment. *)

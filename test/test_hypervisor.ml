@@ -347,36 +347,12 @@ let test_bm_batch_burst_completes () =
   check_bool "batched run finishes within a few ticks of the default" true
     (last stamps_batched -. last stamps_default < 100_000.0)
 
-let test_kvm_batch_burst_completes () =
-  let run ?batch () =
-    let w = make_world () in
-    let host = Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage ?batch () in
-    let a = Kvm.create_vm host { (Kvm.default_config ~name:"a") with vcpus = 16 } in
-    let b = Kvm.create_vm host { (Kvm.default_config ~name:"b") with vcpus = 16 } in
-    let got = ref 0 in
-    b.Instance.set_rx_handler (fun pkt -> got := !got + pkt.Packet.count);
-    Sim.spawn w.sim (fun () ->
-        Sim.delay 1_000.0;
-        for i = 1 to 10 do
-          ignore
-            (a.Instance.send
-               (burst ~count:8 ~src:a.Instance.endpoint ~dst:b.Instance.endpoint
-                  ~now:(Sim.clock ()) i))
-        done);
-    Sim.run ~until:Simtime.(ms 50.0) w.sim;
-    !got
-  in
-  check_int "batched vhost loses nothing" (run ()) (run ~batch:16 ())
-
 let test_batch_zero_rejected () =
   let w = make_world () in
   Alcotest.check_raises "bm batch 0"
     (Invalid_argument "Bm_hypervisor: batch must be >= 1") (fun () ->
       ignore
-        (Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~batch:0 ()));
-  Alcotest.check_raises "kvm batch 0"
-    (Invalid_argument "Kvm.create_host: batch must be >= 1") (fun () ->
-      ignore (Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~batch:0 ()))
+        (Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~batch:0 ()))
 
 let test_bm_exec_native_speed () =
   let w = make_world () in
@@ -505,7 +481,6 @@ let suites =
       [
         Alcotest.test_case "batch 1 is bit-identical" `Quick test_bm_batch_one_identical;
         Alcotest.test_case "bm burst completes" `Quick test_bm_batch_burst_completes;
-        Alcotest.test_case "kvm burst completes" `Quick test_kvm_batch_burst_completes;
         Alcotest.test_case "batch 0 rejected" `Quick test_batch_zero_rejected;
       ] );
   ]
@@ -595,3 +570,395 @@ let kernel_suites =
   [ ("hyp.kernels", [ Alcotest.test_case "kernel catalogue" `Quick test_kernel_catalogue ]) ]
 
 let suites = suites @ kernel_suites
+
+(* ------------------------------------------------------------------ *)
+(* Pinned datapath matrix. Each cell runs a short UDP stream, three
+   ping-pongs and three blk requests between two guests of one
+   substrate, and compares the event count, the received and dropped
+   packets and every latency (as exact hex floats) against literals.
+   Any change to the simulated schedule — one event more or less, a
+   reordered spawn, a cost term that is no longer exact — fails here,
+   below the rounding of the report columns. *)
+
+type cell = { events : int; received : int; dropped : int; latencies : string list }
+
+let stream_bursts = 40
+let stream_burst_count = 4
+
+let datapath_cell ?batch ?(crash = false) substrate datapath =
+  let w = make_world () in
+  let fault =
+    if not crash then Fault.none
+    else begin
+      let f =
+        Fault.create w.sim
+          {
+            Fault.seed = 0;
+            horizon_ns = 2e6;
+            events = [ { Fault.kind = Fault.Pmd_crash; at = 1_010_000.0; duration_ns = 60_000.0 } ];
+          }
+      in
+      Fault.arm f;
+      f
+    end
+  in
+  let a, b =
+    match substrate with
+    | `Bm ->
+      let server =
+        Bm_hypervisor.create_server ~fault w.sim w.rng ~fabric:w.fabric ~storage:w.storage ?batch
+          ~boards:2 ()
+      in
+      let guest name = Result.get_ok (Bm_hypervisor.provision server ~name ~datapath ()) in
+      let a = guest "a" in
+      (a, guest "b")
+    | `Vm ->
+      let host = Kvm.create_host ~fault w.sim w.rng ~fabric:w.fabric ~storage:w.storage () in
+      let guest name =
+        Kvm.create_vm host { (Kvm.default_config ~name) with vcpus = 16; datapath }
+      in
+      let a = guest "a" in
+      (a, guest "b")
+  in
+  let received = ref 0 and last_arrival = ref 0.0 in
+  let pong = ref (Sim.Ivar.create ()) in
+  (* b counts the stream and echoes pings (ids from 1000) back to a. *)
+  b.Instance.set_rx_handler (fun pkt ->
+      if pkt.Packet.id >= 1000 then
+        ignore
+          (b.Instance.send
+             (burst ~src:b.Instance.endpoint ~dst:a.Instance.endpoint ~now:(Sim.clock ())
+                pkt.Packet.id))
+      else begin
+        received := !received + pkt.Packet.count;
+        last_arrival := Sim.now w.sim
+      end);
+  a.Instance.set_rx_handler (fun _ -> Sim.Ivar.fill !pong ());
+  let latencies = ref [] in
+  Sim.spawn w.sim (fun () ->
+      Sim.delay Simtime.(ms 1.0);
+      for i = 1 to stream_bursts do
+        ignore
+          (a.Instance.send
+             (burst ~count:stream_burst_count ~src:a.Instance.endpoint ~dst:b.Instance.endpoint
+                ~now:(Sim.clock ()) i))
+      done;
+      for i = 1 to 3 do
+        pong := Sim.Ivar.create ();
+        let t0 = Sim.clock () in
+        ignore
+          (a.Instance.send
+             (burst ~src:a.Instance.endpoint ~dst:b.Instance.endpoint ~now:t0 (1000 + i)));
+        Sim.Ivar.read !pong;
+        latencies := (Sim.clock () -. t0) :: !latencies
+      done;
+      List.iter
+        (fun op -> latencies := a.Instance.blk ~op ~bytes_:4096 :: !latencies)
+        [ `Read; `Write; `Read ]);
+  Sim.run ~until:Simtime.(ms 50.0) w.sim;
+  {
+    events = Sim.events_executed w.sim;
+    received = !received;
+    dropped = (stream_bursts * stream_burst_count) - !received;
+    latencies = List.rev_map (Printf.sprintf "%h") (!latencies @ [ !last_arrival ]);
+  }
+
+let check_cell expected got =
+  check_int "events executed" expected.events got.events;
+  check_int "received" expected.received got.received;
+  check_int "dropped" expected.dropped got.dropped;
+  Alcotest.(check (list string)) "latencies" expected.latencies got.latencies
+
+(* Per cell: the simulated time the last stream burst arrived (the
+   stream starts at 1 ms), three ping-pong round trips, then the read,
+   write and read completion latencies. *)
+let datapath_matrix =
+  [
+    ( "bm vring",
+      (fun () -> datapath_cell `Bm Bm_iobond.Vf.Vring),
+      {
+        events = 5543;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.14069p+20";
+            "0x1.73fp+14";
+            "0x1.5bf8p+14";
+            "0x1.5bf8p+14";
+            "0x1.c8c7df78490ep+16";
+            "0x1.b6f3d09b212dp+16";
+            "0x1.3b9607ffb285p+16";
+          ];
+      } );
+    ( "bm passthrough",
+      (fun () -> datapath_cell `Bm Bm_iobond.Vf.Passthrough),
+      {
+        events = 4774;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.12b3deb851eb8p+20";
+            "0x1.f227ae147aep+13";
+            "0x1.f227ae147aep+13";
+            "0x1.f227ae147aep+13";
+            "0x1.c8c7df78490ep+16";
+            "0x1.b6f3d09b212dp+16";
+            "0x1.3b9607ffb285p+16";
+          ];
+      } );
+    ( "bm sliced",
+      (fun () -> datapath_cell `Bm Bm_iobond.Vf.Sliced),
+      {
+        events = 4792;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.12b3deb851eb8p+20";
+            "0x1.f227ae147aep+13";
+            "0x1.f227ae147aep+13";
+            "0x1.f227ae147aep+13";
+            "0x1.c8c7df78490ep+16";
+            "0x1.b6f3d09b212dp+16";
+            "0x1.3b9607ffb285p+16";
+          ];
+      } );
+    ( "vm vring",
+      (fun () -> datapath_cell `Vm Bm_iobond.Vf.Vring),
+      {
+        events = 699;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.10698p+20";
+            "0x1.4438p+14";
+            "0x1.531p+14";
+            "0x1.531p+14";
+            "0x1.23b5b87653128p+17";
+            "0x1.1e6e99c1edaep+17";
+            "0x1.ba3999740f9cp+16";
+          ];
+      } );
+    ( "vm passthrough",
+      (fun () -> datapath_cell `Vm Bm_iobond.Vf.Passthrough),
+      {
+        events = 659;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.106e9eb851eb8p+20";
+            "0x1.4413d70a3d7p+14";
+            "0x1.4413d70a3d7p+14";
+            "0x1.4413d70a3d7p+14";
+            "0x1.23b5b87653128p+17";
+            "0x1.1e6e99c1edaep+17";
+            "0x1.ba3999740f9cp+16";
+          ];
+      } );
+    ( "vm sliced",
+      (fun () -> datapath_cell `Vm Bm_iobond.Vf.Sliced),
+      {
+        events = 677;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.106e9eb851eb8p+20";
+            "0x1.4413d70a3d7p+14";
+            "0x1.4413d70a3d7p+14";
+            "0x1.4413d70a3d7p+14";
+            "0x1.23b5b87653128p+17";
+            "0x1.1e6e99c1edaep+17";
+            "0x1.ba3999740f9cp+16";
+          ];
+      } );
+    ( "bm vring batch 8",
+      (fun () -> datapath_cell ~batch:8 `Bm Bm_iobond.Vf.Vring),
+      {
+        events = 5686;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.14945p+20";
+            "0x1.dfcp+14";
+            "0x1.9a78p+14";
+            "0x1.9a78p+14";
+            "0x1.ccafdf78490ep+16";
+            "0x1.badbd09b212dp+16";
+            "0x1.3f7e07ffb285p+16";
+          ];
+      } );
+    ( "bm vring pmd crash",
+      (fun () -> datapath_cell ~crash:true `Bm Bm_iobond.Vf.Vring),
+      {
+        events = 5325;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.1aaedp+20";
+            "0x1.73fp+14";
+            "0x1.5bf8p+14";
+            "0x1.5bf8p+14";
+            "0x1.c8c7df78490ep+16";
+            "0x1.b6f3d09b212dp+16";
+            "0x1.3b9607ffb285p+16";
+          ];
+      } );
+    ( "vm vring vhost crash",
+      (fun () -> datapath_cell ~crash:true `Vm Bm_iobond.Vf.Vring),
+      {
+        events = 672;
+        received = 160;
+        dropped = 0;
+        latencies =
+          [
+            "0x1.18f5p+20";
+            "0x1.4438p+14";
+            "0x1.531p+14";
+            "0x1.531p+14";
+            "0x1.23b5b87653128p+17";
+            "0x1.1e6e99c1edaep+17";
+            "0x1.ba3999740f9cp+16";
+          ];
+      } );
+  ]
+
+let datapath_suites =
+  [
+    ( "hyp.datapath",
+      List.map
+        (fun (label, cell, expected) ->
+          Alcotest.test_case label `Quick (fun () -> check_cell expected (cell ())))
+        datapath_matrix );
+  ]
+
+let suites = suites @ datapath_suites
+
+(* ------------------------------------------------------------------ *)
+(* Shared backend regressions *)
+
+(* A nested vm-guest without halt polling takes ~45 us to enter its rx
+   interrupt handler, the only place it reposts rx buffers; a flood of
+   4,000 bursts outruns its 1,536 posted buffers. Every loss must be a
+   counted no-buffer drop. *)
+let test_vm_rx_drops_counted () =
+  let w = make_world () in
+  let metrics = Metrics.create () in
+  let host =
+    Kvm.create_host ~obs:(Obs.of_sim ~metrics w.sim) w.sim w.rng ~fabric:w.fabric
+      ~storage:w.storage ()
+  in
+  let b =
+    Kvm.create_vm host
+      { (Kvm.default_config ~name:"b") with vcpus = 16; nested = true; halt_polling = false }
+  in
+  let received = ref 0 in
+  b.Instance.set_rx_handler (fun pkt -> received := !received + pkt.Packet.count);
+  let vswitch = Kvm.vswitch host in
+  let per_tick = 200 and ticks = 20 in
+  Sim.spawn w.sim (fun () ->
+      Sim.delay Simtime.(ms 1.0);
+      for t = 0 to ticks - 1 do
+        for i = 1 to per_tick do
+          Vswitch.forward_hw vswitch
+            (burst ~src:999 ~dst:b.Instance.endpoint ~now:(Sim.clock ()) ((t * per_tick) + i))
+        done;
+        Sim.delay 5_000.0
+      done);
+  Sim.run ~until:Simtime.(ms 20.0) w.sim;
+  let sent = per_tick * ticks in
+  let drops = int_of_float (Metrics.counter_value metrics "hyp.vm.rx_drops") in
+  check_bool "the flood outran the posted buffers" true (drops > 0);
+  check_int "every lost packet is a counted rx drop" (sent - !received) drops;
+  check_int "no vswitch drops" 0 (Vswitch.dropped vswitch)
+
+(* A released guest's endpoint leaves the vswitch: a burst still
+   addressed to it is an unknown-destination drop, and no orphaned PMD
+   fiber charges the base cores for it. *)
+let test_bm_release_unregisters () =
+  let w = make_world () in
+  let server =
+    Bm_hypervisor.create_server w.sim w.rng ~fabric:w.fabric ~storage:w.storage ~boards:2 ()
+  in
+  ignore (Result.get_ok (Bm_hypervisor.provision server ~name:"a" ()));
+  let b = Result.get_ok (Bm_hypervisor.provision server ~name:"b" ()) in
+  Sim.run ~until:Simtime.(ms 1.0) w.sim;
+  Bm_hypervisor.release server ~name:"b";
+  let vswitch = Bm_hypervisor.vswitch server in
+  let unknown = Vswitch.unknown_dropped vswitch in
+  let base = Bm_hypervisor.base_cores server in
+  let utilization () = Bm_hw.Cores.utilization base ~now:Simtime.(ms 1.0) in
+  let before = utilization () in
+  Sim.schedule w.sim ~delay:1_000.0 (fun () ->
+      Vswitch.forward_hw vswitch
+        (burst ~src:999 ~dst:b.Instance.endpoint ~now:(Sim.now w.sim) 1));
+  Sim.run ~until:Simtime.(ms 2.0) w.sim;
+  check_int "one unknown-destination drop" (unknown + 1) (Vswitch.unknown_dropped vswitch);
+  check_bool "base cores untouched" true (utilization () = before)
+
+(* [create_vm] validates before it touches the host: a rejected config
+   leaves the sellable pool, the VM table and the host's random stream
+   exactly as they were. *)
+let check_create_vm_rejected make_bad =
+  let run ~bad =
+    let w = make_world () in
+    let host = Kvm.create_host w.sim w.rng ~fabric:w.fabric ~storage:w.storage () in
+    let first = Kvm.create_vm host { (Kvm.default_config ~name:"vm0") with vcpus = 8 } in
+    if bad then
+      (match Kvm.create_vm host (make_bad ()) with
+      | _ -> Alcotest.fail "invalid config accepted"
+      | exception Invalid_argument _ -> ());
+    let rest = Kvm.sellable_threads host - 8 in
+    let second = Kvm.create_vm host { (Kvm.default_config ~name:"vm1") with vcpus = rest } in
+    Alcotest.check_raises "pool is exactly full"
+      (Invalid_argument "Kvm.create_vm: host out of sellable threads") (fun () ->
+        ignore (Kvm.create_vm host { (Kvm.default_config ~name:"vm2") with vcpus = 1 }));
+    let elapsed = ref 0.0 in
+    Sim.spawn w.sim (fun () ->
+        ignore (first.Instance.probe ());
+        let t0 = Sim.clock () in
+        second.Instance.exec_ns 1e6;
+        elapsed := Sim.clock () -. t0);
+    Sim.run w.sim;
+    let probe_exits =
+      match Kvm.exit_counters host ~name:"vm0" with
+      | Some c -> Vmexit.count c Vmexit.Io_instruction
+      | None -> -1
+    in
+    (probe_exits, Printf.sprintf "%h" !elapsed)
+  in
+  let clean_exits, clean_elapsed = run ~bad:false in
+  let exits, elapsed = run ~bad:true in
+  check_bool "vm0's exit counters are still its own" true (exits = clean_exits && exits > 0);
+  Alcotest.(check string) "no random draws consumed" clean_elapsed elapsed
+
+let test_create_vm_rejects_zero_vcpus () =
+  check_create_vm_rejected (fun () -> { (Kvm.default_config ~name:"bad") with vcpus = 0 })
+
+let test_create_vm_rejects_negative_vcpus () =
+  check_create_vm_rejected (fun () -> { (Kvm.default_config ~name:"bad") with vcpus = -16 })
+
+let test_create_vm_rejects_duplicate_name () =
+  check_create_vm_rejected (fun () -> { (Kvm.default_config ~name:"vm0") with vcpus = 4 })
+
+let backend_suites =
+  [
+    ( "hyp.backend",
+      [
+        Alcotest.test_case "vm rx drops counted" `Quick test_vm_rx_drops_counted;
+        Alcotest.test_case "bm release unregisters" `Quick test_bm_release_unregisters;
+        Alcotest.test_case "create_vm rejects 0 vcpus" `Quick test_create_vm_rejects_zero_vcpus;
+        Alcotest.test_case "create_vm rejects negative vcpus" `Quick
+          test_create_vm_rejects_negative_vcpus;
+        Alcotest.test_case "create_vm rejects duplicate name" `Quick
+          test_create_vm_rejects_duplicate_name;
+      ] );
+  ]
+
+let suites = suites @ backend_suites
