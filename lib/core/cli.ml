@@ -72,15 +72,10 @@ let flags =
           (fun p -> { c with policy = Some p })
           (named "policy" Bm_cloud.Policy.all Bm_cloud.Policy.name s));
     value [ "jobs"; "j" ] "N"
-      "Run up to N experiments at once on separate domains (0 = one per core). Output is \
-       byte-identical for any N; forced to 1 by --trace or --metrics."
+      "Use up to N domains (0 = one per core): several experiments run at once, or a single \
+       experiment races its independent arms (game_day, policy_race, vf_scale, vf_ablation). \
+       Output is byte-identical for any N; forced to 1 by --trace or --metrics."
       (fun s c -> Result.map (fun jobs -> { c with jobs }) (domains s));
-    value [ "shards" ] "N"
-      "Intra-run parallelism on up to N domains (0 = one per core): fleet_scale splits its \
-       east-west flow phase across N fabric shards; game_day, policy_race, vf_scale and \
-       vf_ablation race their independent arms. Output is byte-identical for any N; forced to 1 \
-       by --trace or --metrics."
-      (fun s c -> Result.map (fun shards -> { c with shards }) (domains s));
     value [ "topology" ] "SPEC"
       "Fabric topology for the cross-host (xhost_*) and fleet experiments: 'two_host' or \
        comma-separated key=value pairs (keys: hosts, tors, spines, host_gbit, spine_gbit, \

@@ -20,7 +20,7 @@ type flag = {
 
 val flags : flag list
 (** [--quick --seed --trace --metrics --faults --scenario --policy
-    --jobs/-j --shards --topology --hosts --guests --tenants --vfs
+    --jobs/-j --topology --hosts --guests --tenants --vfs
     --datapath], each setting only its own field. *)
 
 val dashed : string -> string

@@ -27,7 +27,6 @@ type ctx = {
   vfs : int option;
   datapath : Bm_iobond.Vf.datapath option;
   jobs : int;
-  shards : int;
 }
 
 let default =
@@ -47,7 +46,6 @@ let default =
     vfs = None;
     datapath = None;
     jobs = 1;
-    shards = 1;
   }
 
 type spec = { id : string; title : string; paper_ref : string; run : ctx -> outcome }
@@ -1578,7 +1576,7 @@ let run_xhost_migrate ({ topo; quick; seed; _ } as ctx) =
 (* ------------------------------------------------------------------ *)
 (* Fleet scale: the live fleet simulation *)
 
-let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; shards; quick; seed; _ } =
+let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; quick; seed; _ } =
   let base = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   let cfg =
     {
@@ -1592,7 +1590,7 @@ let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; shards; quic
   let sched = Fleet.Live.scheduler live in
   let cp = Bm_cloud.Scheduler.control_plane sched in
   let net = Fleet.Live.fabric live in
-  Fleet.Live.serve ~shards live ~duration_ns:(Simtime.ms (if quick then 2.0 else 10.0));
+  Fleet.Live.serve live ~duration_ns:(Simtime.ms (if quick then 2.0 else 10.0));
   (* Fail the busiest host, drain it through the fabric, repair it,
      then rebalance — the full maintenance cycle. *)
   let victim_host =
@@ -1605,7 +1603,7 @@ let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; shards; quic
   let evac = Fleet.Live.evacuate live ~server:victim_host in
   let recovered = Fleet.Live.restore live ~server:victim_host in
   let moves = Bm_cloud.Scheduler.rebalance sched () in
-  Fleet.Live.serve ~shards live ~duration_ns:(Simtime.ms (if quick then 1.0 else 2.0));
+  Fleet.Live.serve live ~duration_ns:(Simtime.ms (if quick then 1.0 else 2.0));
   let survey = Fleet.Live.exit_survey live (Rng.create ~seed:(seed + 1)) in
   let placed_now = List.length (Bm_cloud.Scheduler.assignments sched) in
   let stranded_now = List.length (Bm_cloud.Scheduler.stranded sched) in
@@ -1678,19 +1676,18 @@ let run_fleet_scale { hosts; guests; tenants; trace; metrics; topo; shards; quic
 (* ------------------------------------------------------------------ *)
 (* Game day: composed fault timeline + degradation ladder + SLO scores *)
 
-let run_game_day { scenario; policy; trace; metrics; shards; quick; seed; _ } =
+let run_game_day { scenario; policy; trace; metrics; jobs; quick; seed; _ } =
   let spec = Option.value scenario ~default:(Scenario.default_spec ~seed ()) in
   let kind = Option.value policy ~default:Bm_cloud.Policy.Ladder in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* The same timeline twice: open loop, then with the degradation
      policy closed around it. The scorecard delta is the experiment.
      The two arms share nothing (each builds its own fleet from the
-     spec), so [--shards >= 2] runs them on two domains; results join
-     in input order, byte-identical to the sequential sweep. *)
+     spec), so they run on up to [jobs] domains; results join in input
+     order, byte-identical to the sequential sweep. *)
   let off, on =
     match
-      Parallel.map
-        ~jobs:(min shards 2)
+      Parallel.map ~jobs
         (fun degrade ->
           if degrade then Scenario.run ?trace ?metrics ~degrade:true ~policy:kind ~fleet:cfg spec
           else Scenario.run ?trace ?metrics ~degrade:false ~fleet:cfg spec)
@@ -1749,15 +1746,15 @@ let run_game_day { scenario; policy; trace; metrics; shards; quick; seed; _ } =
    every entrant, so the table differences are pure policy: which levers
    each pulled, and what that bought per tier. Rows are ranked by total
    SLOs met, Gold met breaking ties; the open-loop row is the floor. *)
-let run_policy_race { scenario; trace; metrics; shards; quick; seed; _ } =
+let run_policy_race { scenario; trace; metrics; jobs; quick; seed; _ } =
   let spec = Option.value scenario ~default:(Scenario.default_spec ~seed ()) in
   let cfg = if quick then Fleet.Live.quick_config else Fleet.Live.default_config in
   (* One independent arm per entrant (plus the open-loop floor), each
-     building its own fleet from the same seeded spec: [--shards >= 2]
-     races them across that many domains, joined in input order. *)
+     building its own fleet from the same seeded spec, raced across up
+     to [jobs] domains and joined in input order. *)
   let open_loop, entrants =
     match
-      Parallel.map ~jobs:(min shards (1 + List.length Bm_cloud.Policy.all))
+      Parallel.map ~jobs
         (function
           | None -> Scenario.run ?trace ?metrics ~degrade:false ~fleet:cfg spec
           | Some kind -> Scenario.run ?trace ?metrics ~degrade:true ~policy:kind ~fleet:cfg spec)
@@ -1836,7 +1833,7 @@ let percentile_of sorted p =
 
 (* One guest per VF, Poisson arrivals per queue, raw device — the
    arbitration model in isolation, before any hypervisor is involved. *)
-let run_vf_scale ({ vfs; faults; shards; quick; _ } as ctx) =
+let run_vf_scale ({ vfs; faults; jobs; quick; _ } as ctx) =
   let vfs_list =
     match vfs with Some n -> [ n ] | None -> if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ]
   in
@@ -1887,10 +1884,10 @@ let run_vf_scale ({ vfs; faults; shards; quick; _ } as ctx) =
       Report.f2 (percentile_of sorted 0.99 /. 1e3);
     ]
   in
-  (* Cells share nothing — each builds its own testbed — so [--shards]
+  (* Cells share nothing — each builds its own testbed — so [jobs]
      fans them across domains; the input-order join keeps the table
      byte-identical at any width. *)
-  let rows = Parallel.map ~jobs:shards run_cell cells in
+  let rows = Parallel.map ~jobs run_cell cells in
   {
     id = "vf_scale";
     title = "VF scale: guests x queues throughput/latency sweep";
@@ -2003,7 +2000,7 @@ let run_vf_reassign ({ vfs; faults; quick; _ } as ctx) =
 
 (* The paper's Fig. 9/10 co-resident pairs, re-run per datapath: the
    shadow-vring poll loop against direct assignment, bm and vm. *)
-let run_vf_ablation ({ vfs; datapath; faults; shards; quick; _ } as ctx) =
+let run_vf_ablation ({ vfs; datapath; faults; jobs; quick; _ } as ctx) =
   let datapaths = match datapath with Some d -> [ d ] | None -> Vf.all_datapaths in
   let vfs = Option.value vfs ~default:8 in
   let duration = if quick then Simtime.ms 30.0 else Simtime.ms 300.0 in
@@ -2043,9 +2040,9 @@ let run_vf_ablation ({ vfs; datapath; faults; shards; quick; _ } as ctx) =
       Report.f2 lat.Sockperf.p99_us;
     ]
   in
-  (* Each cell builds two private testbeds; [--shards] fans the cells
-     out and the input-order join keeps the scorecard byte-identical. *)
-  let rows = Parallel.map ~jobs:shards run_cell cells in
+  (* Each cell builds two private testbeds; [jobs] fans the cells out
+     and the input-order join keeps the scorecard byte-identical. *)
+  let rows = Parallel.map ~jobs run_cell cells in
   {
     id = "vf_ablation";
     title = "Datapath ablation: shadow-vring vs passthrough vs VF-sliced";
@@ -2107,28 +2104,36 @@ let ids () = List.map (fun s -> s.id) all
 let unknown id =
   Error (Printf.sprintf "unknown experiment %S (try: %s)" id (String.concat ", " (ids ())))
 
-(* Trace/metrics sinks are single mutable buffers shared by every cell,
-   and intra-run sharding replays callbacks that feed them; recording
-   from several domains would race, so their presence forces a fully
-   sequential run. Cells themselves share nothing: each builds its own
-   simulator, RNG and testbed from the seed, so output is byte-identical
-   either way. *)
+(* Trace/metrics sinks are single mutable buffers shared by every cell;
+   recording from several domains would race, so their presence forces
+   a fully sequential run. Cells themselves share nothing: each builds
+   its own simulator, RNG and testbed from the seed, so output is
+   byte-identical either way. *)
 let serialize ctx =
-  if ctx.trace <> None || ctx.metrics <> None then { ctx with jobs = 1; shards = 1 }
-  else { ctx with jobs = max 1 ctx.jobs; shards = max 1 ctx.shards }
+  if ctx.trace <> None || ctx.metrics <> None then { ctx with jobs = 1 }
+  else { ctx with jobs = max 1 ctx.jobs }
 
+(* An experiment raises [Invalid_argument] only on an override it cannot
+   honour (e.g. a --topology smaller than the fleet): that is the
+   caller's error, reported like an unknown id. *)
+let run_spec ctx id =
+  match find id with
+  | None -> unknown id
+  | Some spec -> ( try Ok (spec.run ctx) with Invalid_argument msg -> Error msg)
+
+(* One [jobs] budget, never nested: a single target hands it to the
+   experiment's own independent arms, several targets spread it over
+   the experiments and run each one's arms sequentially. *)
 let run ctx targets =
   let ctx = serialize ctx in
   let targets = if targets = [] then ids () else targets in
-  Parallel.map ~jobs:ctx.jobs
-    (fun id -> match find id with Some spec -> Ok (spec.run ctx) | None -> unknown id)
-    targets
+  (match targets with
+  | [ id ] -> [ run_spec ctx id ]
+  | _ -> Parallel.map ~jobs:ctx.jobs (run_spec { ctx with jobs = 1 }) targets)
   |> List.combine targets
 
 let run_one ?(quick = default.quick) ?(seed = default.seed) ?trace ?metrics id =
-  match find id with
-  | Some spec -> Ok (spec.run (serialize { default with quick; seed; trace; metrics }))
-  | None -> unknown id
+  run_spec (serialize { default with quick; seed; trace; metrics }) id
 
 let run_many ?(quick = default.quick) ?(seed = default.seed) ?trace ?metrics ?(jobs = 1) targets =
   run { default with quick; seed; trace; metrics; jobs } targets

@@ -42,20 +42,18 @@ type ctx = {
   vfs : int option;  (** SR-IOV functions per device/pool in the [vf_*] experiments *)
   datapath : Bm_iobond.Vf.datapath option;
       (** restrict [vf_ablation] to one datapath; [None] runs all three *)
-  jobs : int;  (** experiments run at once on separate domains ({!run}) *)
-  shards : int;
-      (** intra-run parallelism: [fleet_scale] carries its east-west flow
-          phase on that many fabric replicas, [game_day]/[policy_race]/
-          [vf_scale]/[vf_ablation] run independent arms on up to that
-          many domains *)
+  jobs : int;
+      (** domain budget ({!run}): several experiments at once, or one
+          experiment's independent arms ([game_day], [policy_race],
+          [vf_scale], [vf_ablation]) *)
 }
 (** Everything an experiment may read. Each experiment reads only the
-    fields it uses; output is byte-identical for any [jobs]/[shards], and
+    fields it uses; output is byte-identical for any [jobs], and
     same ctx ⇒ bit-identical outcome. The flags of both front ends
     ({!Cli.flags}) build one. *)
 
 val default : ctx
-(** Full scale, seed 2020, no sinks or overrides, [jobs = shards = 1]. *)
+(** Full scale, seed 2020, no sinks or overrides, [jobs = 1]. *)
 
 type spec = { id : string; title : string; paper_ref : string; run : ctx -> outcome }
 
@@ -64,12 +62,15 @@ val find : string -> spec option
 val ids : unit -> string list
 
 val run : ctx -> string list -> (string * (outcome, string) result) list
-(** Run the named experiments (every one when the list is empty), up to [ctx.jobs] at a time on separate
-    domains ({!Parallel.map}); results come back in argument order, so
-    output is byte-identical for any [jobs]. Unknown ids surface as
-    [Error] without aborting the rest. Because [trace] and [metrics]
-    sinks are shared mutable buffers, passing either forces
-    [jobs = shards = 1]. *)
+(** Run the named experiments (every one when the list is empty) on up
+    to [ctx.jobs] domains ({!Parallel.map}), never more: a single target
+    hands the budget to its own independent arms, several targets run
+    up to [jobs] at a time with their arms sequential. Results come back
+    in argument order, so output is byte-identical for any [jobs].
+    Unknown ids, and experiments that reject an override by raising
+    [Invalid_argument] (such as a [topo] smaller than the fleet), surface
+    as [Error] without aborting the rest. Because [trace] and [metrics]
+    sinks are shared mutable buffers, passing either forces [jobs = 1]. *)
 
 val run_one :
   ?quick:bool ->

@@ -133,15 +133,6 @@ let schedule_timer t ~delay f =
 
 let cancel t timer = ignore (Pqueue.cancel t.agenda timer)
 
-(* Absolute-time variant for the sharded scheduler's barrier: a message
-   carries its exact arrival timestamp, and round-tripping it through a
-   delay ([now +. (arrival -. now)]) can land a ulp off — enough to
-   break byte-identity of anything derived from [now] at delivery. *)
-let schedule_at t ~time f =
-  if not (time >= t.time) then invalid_arg "Sim.schedule_at: time must be >= now";
-  t.seq <- t.seq + 1;
-  if time = t.time then lane_push t t.seq f else Pqueue.add t.agenda ~time ~seq:t.seq f
-
 (* Run [body] as a fiber, interpreting the blocking effects against [t]. *)
 let exec t body = Effect.Deep.match_with body () t.handler
 
@@ -237,16 +228,15 @@ let create () =
 
 let spawn t body = schedule t ~delay:0.0 (fun () -> exec t body)
 
-(* The shared inner loop. Every pending hot-lane event runs at the
+(* [run]'s inner loop. Every pending hot-lane event runs at the
    current time (zero-delay scheduling can only target "now", and the
    lane always drains before the clock advances), so the next event is
    either the lane's head or a heap event at the same instant with a
-   smaller seq. [hseq] selects the horizon semantics: [max_int] pops
-   heap events with time <= horizon (the classic inclusive [run]);
-   [min_int] pops strictly before it (the {!run_window} barrier of the
-   sharded scheduler — live seqs start at 1, so the tie branch of
-   [Pqueue.min_le] can never fire). No step of the loop allocates. *)
-let exec_loop t ~horizon ~hseq =
+   smaller seq. Heap events run while their time is <= [horizon], which
+   [Pqueue.min_le] at seq [max_int] tests without boxing a float (a
+   plain [min_time <= horizon] costs ~1.25 words per heap event). No
+   step of the loop allocates. *)
+let exec_loop t ~horizon =
   let rec loop () =
     if not t.stopped then begin
       if t.lane_len > 0 then begin
@@ -267,7 +257,7 @@ let exec_loop t ~horizon ~hseq =
         end;
         loop ()
       end
-      else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:hseq
+      else if Pqueue.length t.agenda > 0 && Pqueue.min_le t.agenda ~time:horizon ~seq:max_int
       then begin
         t.time <- Pqueue.min_time t.agenda;
         let f = Pqueue.pop_min t.agenda in
@@ -283,26 +273,10 @@ let exec_loop t ~horizon ~hseq =
 let run ?until t =
   t.stopped <- false;
   let horizon = match until with Some u -> u | None -> infinity in
-  exec_loop t ~horizon ~hseq:max_int;
+  exec_loop t ~horizon;
   match until with
   | Some u when t.time < u && not t.stopped -> t.time <- u
   | _ -> ()
-
-let run_window t ~until =
-  t.stopped <- false;
-  if t.time < until then begin
-    exec_loop t ~horizon:until ~hseq:min_int;
-    (* Park the clock exactly at the window boundary so a message
-       injected for arrival >= until can be scheduled with a plain
-       non-negative delay. An infinite window (no conduits) leaves the
-       clock at the last executed event, like an exhausted [run]. *)
-    if (not t.stopped) && Float.is_finite until && t.time < until then t.time <- until
-  end
-
-let next_event_time t =
-  if t.lane_len > 0 then t.time
-  else if Pqueue.length t.agenda > 0 then Pqueue.min_time t.agenda
-  else infinity
 
 let stop t =
   t.stopped <- true;

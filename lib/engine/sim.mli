@@ -33,13 +33,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     (or NaN) — an explicit guard, not an assert, so it survives release
     builds. A zero [delay] takes the O(1) hot lane. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** [schedule_at t ~time f] is {!schedule} with an absolute timestamp
-    (raises [Invalid_argument] below [now t]). The exact [time] becomes
-    the event's key — no [now +. delay] round-trip, whose float rounding
-    can land a ulp off a timestamp computed elsewhere. This is how the
-    sharded scheduler ({!Shard}) injects cross-shard arrivals. *)
-
 type timer
 (** A cancellable scheduled callback. *)
 
@@ -89,22 +82,6 @@ val run : ?until:float -> t -> unit
 (** [run t] executes events until the agenda drains or simulated time
     exceeds [until] (absolute, in ns). After returning with [until], the
     clock is set to [until]. Exceptions raised by processes propagate. *)
-
-val run_window : t -> until:float -> unit
-(** [run_window t ~until] executes events with time {e strictly} before
-    [until] (the lane drains as usual — its events always run at the
-    current time, which stays below [until]) and then parks the clock
-    exactly at [until] when finite. This is the bounded-window primitive
-    of the conservative sharded scheduler ({!Shard}): events at or past
-    the window boundary stay pending, because a message from another
-    shard may still arrive at [until]. A no-op when [until <= now t].
-    [until = infinity] behaves like an exhausting {!run} (the clock is
-    left at the last executed event). *)
-
-val next_event_time : t -> float
-(** Timestamp of the earliest pending event on either lane ([infinity]
-    when the agenda is empty) — the input to the sharded scheduler's
-    window computation. Pure observation. *)
 
 val stop : t -> unit
 (** Discard all pending events (timers included, whose handles become

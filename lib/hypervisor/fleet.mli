@@ -97,12 +97,13 @@ module Live : sig
     config ->
     t
   (** Construct the fleet: auto-size a Clos ({!Bm_fabric.Topology.for_hosts})
-      unless [topo] is given and large enough, attach every host (server
+      unless [topo] is given, attach every host (server
       id = fabric port), register tenants (quota: twice the fair share),
       draw each guest's workload class from {!class_mix}, and place the
       whole population first-fit-decreasing. Every 33rd guest requests
       bare metal; three of every 25 guests form an anti-affinity group.
-      Same [seed] + [config] ⇒ identical fleet, byte for byte. *)
+      Same [seed] + [config] ⇒ identical fleet, byte for byte. Raises
+      [Invalid_argument] if [topo] has fewer hosts than [config.hosts]. *)
 
   val sim : t -> Bm_engine.Sim.t
   val fabric : t -> Bm_fabric.Fabric.t
@@ -114,23 +115,13 @@ module Live : sig
 
   val place_failures : t -> int
 
-  val serve : ?shards:int -> t -> duration_ns:float -> unit
+  val serve : t -> duration_ns:float -> unit
   (** Run the fleet for a window of simulated time: a metering fiber
       charges guest-seconds, bytes and IOPS to each owning tenant in
       eight ticks (class-dependent rates), while [2 x hosts] sampled
-      east-west bursts cross the fabric. Runs the simulation to
-      quiescence.
-
-      With [shards > 1] (default 1) the east-west flow phase is
-      partitioned by source host ([h mod shards]) across that many
-      fabric replicas — same topology, same ECMP seed, one simulator
-      and one OCaml domain each ({!Bm_engine.Shard}) — and the per-link
-      and fabric-wide tallies fold back into the main fabric afterwards
-      ({!Bm_fabric.Fabric.absorb}). The offered traffic is drawn from
-      the flow RNG identically in both modes, so the accounting is
-      byte-identical to [shards = 1] whenever the flow phase is
-      drop-free (the regime the fleet experiments assert); the control
-      plane always stays on the main simulator. *)
+      east-west bursts cross the one shared fabric, so flows contend
+      for the spine as they would in the fleet. Runs the simulation to
+      quiescence. *)
 
   val flow_bursts : t -> int
   (** East-west bursts delivered by {!serve} so far. *)

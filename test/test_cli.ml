@@ -18,7 +18,6 @@ let cases =
     ("scenario", [ "42:default"; "7:hosts=2,links=1,evac=1" ], [ "bogus"; "7:hosts=x"; "7:nope=1" ]);
     ("policy", [ "ladder"; "selective"; "tiered"; "congestion" ], [ "panic"; "" ]);
     ("jobs", [ "0"; "1"; "4" ], [ "-1"; "x"; "2.5" ]);
-    ("shards", [ "0"; "1"; "4" ], [ "-1"; "x" ]);
     ("topology", [ "two_host"; "hosts=4,tors=2,spines=2" ], [ "bogus"; "hosts=x"; "hosts=1" ]);
     ("hosts", [ "2"; "40" ], [ "0"; "1"; "-4"; "x" ]);
     ("guests", [ "1"; "800" ], [ "0"; "-1"; "many" ]);

@@ -208,6 +208,39 @@ let test_run_many_unknown_id () =
   | [ ("table1", Ok _); ("nonsense", Error _) ] -> ()
   | _ -> Alcotest.fail "unknown id must surface as Error without aborting the rest"
 
+(* A single target hands the whole --jobs budget to its own arms: the
+   game-day open/closed-loop pair and the policy race's entrants must
+   give the same outcome on 1 and on 4 domains. *)
+let test_single_target_arms_jobs_invariant () =
+  let scenario = Some (Scenario.default_spec ~seed:7 ()) in
+  List.iter
+    (fun id ->
+      let run jobs =
+        let ctx = { Experiments.default with quick = true; seed = 7; scenario; jobs } in
+        match Experiments.run ctx [ id ] with
+        | [ (_, Ok o) ] -> (o.Experiments.rows, o.Experiments.notes)
+        | _ -> Alcotest.failf "%s did not run" id
+      in
+      check_bool (id ^ ": identical for any job count") true (run 1 = run 4))
+    [ "game_day"; "policy_race" ]
+
+(* A --topology smaller than the fleet is rejected, not silently
+   replaced: the build raises and [run] turns it into that target's
+   Error, leaving the other targets alone. *)
+let test_fleet_rejects_small_topology () =
+  let topo = Result.get_ok (Bm_fabric.Topology.parse_spec "hosts=4,tors=2,spines=2") in
+  Alcotest.check_raises "build raises"
+    (Invalid_argument "Fleet.Live.build: topology has 4 hosts, the fleet needs 60") (fun () ->
+      ignore (Bm_hyp.Fleet.Live.build ~topo ~seed:1 Bm_hyp.Fleet.Live.quick_config));
+  match
+    Experiments.run
+      { Experiments.default with quick = true; topo = Some topo }
+      [ "table1"; "fleet_scale" ]
+  with
+  | [ ("table1", Ok _); ("fleet_scale", Error e) ] ->
+    check_bool "error names the topology" true (Astring.String.is_infix ~affix:"topology" e)
+  | _ -> Alcotest.fail "a too-small topology must surface as fleet_scale's Error"
+
 let suites =
   [
     ( "core.instances",
@@ -248,6 +281,10 @@ let suites =
         Alcotest.test_case "default jobs" `Quick test_parallel_default_jobs_positive;
         Alcotest.test_case "sweep jobs-invariant" `Quick test_run_many_jobs_invariant;
         Alcotest.test_case "unknown id surfaces" `Quick test_run_many_unknown_id;
+        Alcotest.test_case "single-target arms jobs-invariant" `Slow
+          test_single_target_arms_jobs_invariant;
+        Alcotest.test_case "fleet rejects a small topology" `Quick
+          test_fleet_rejects_small_topology;
       ] );
   ]
 

@@ -757,35 +757,6 @@ let test_sim_stats_lanes () =
   check_bool "lane ring capacity is a power of two" true
     (s.Sim.lane_capacity land (s.Sim.lane_capacity - 1) = 0)
 
-let test_run_window_strict () =
-  let sim = Sim.create () in
-  let hits = ref [] in
-  Sim.schedule sim ~delay:5.0 (fun () -> hits := 5 :: !hits);
-  Sim.schedule sim ~delay:10.0 (fun () -> hits := 10 :: !hits);
-  Sim.run_window sim ~until:10.0;
-  Alcotest.(check (list int)) "strictly before the window end" [ 5 ] (List.rev !hits);
-  Alcotest.(check (float 0.0)) "clock parked at the boundary" 10.0 (Sim.now sim);
-  Alcotest.(check (float 0.0)) "boundary event still pending" 10.0 (Sim.next_event_time sim);
-  Sim.run sim;
-  Alcotest.(check (list int)) "boundary event runs on resume" [ 5; 10 ] (List.rev !hits)
-
-let test_schedule_at_exact () =
-  let sim = Sim.create () in
-  (* A timestamp that a [now +. (time -. now)] round-trip would move by
-     a ulp from a nonzero clock. *)
-  let time = 0.1 +. 0.2 in
-  let seen = ref nan in
-  Sim.schedule sim ~delay:0.05 (fun () ->
-      Sim.schedule_at sim ~time (fun () -> seen := Sim.now sim));
-  Sim.run sim;
-  check_bool "delivered at the exact bit pattern" true
-    (Int64.equal (Int64.bits_of_float !seen) (Int64.bits_of_float time));
-  check_bool "past timestamp raises" true
-    (try
-       Sim.schedule_at sim ~time:0.0 (fun () -> ());
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Cancellable timers *)
 
@@ -1096,8 +1067,6 @@ let suites =
         Alcotest.test_case "event counters" `Quick test_event_counters;
         Alcotest.test_case "two-lane tie break" `Quick test_two_lane_tie_break;
         Alcotest.test_case "per-lane stats" `Quick test_sim_stats_lanes;
-        Alcotest.test_case "run_window strict horizon" `Quick test_run_window_strict;
-        Alcotest.test_case "schedule_at bit-exact" `Quick test_schedule_at_exact;
       ] );
     qsuite "engine.sim.prop" [ prop_two_lane_order ];
     ( "engine.timer",
@@ -1566,27 +1535,31 @@ let test_handler_nested_sims () =
     ]
     (List.rev !log)
 
-(* Every shard's fibers run on their own simulator's handler: with the
-   shards on two domains, each fiber still wakes exactly at the
-   multiples of its own delay. *)
-let test_handler_per_shard_domain () =
-  let shards = 2 and fibers = 8 and steps = 2_000 in
-  let t = Shard.create ~shards () in
-  let bad = Array.make shards 0 and done_ = Array.make shards 0 in
-  for s = 0 to shards - 1 do
+(* Simulators on separate domains each keep their own handler: with
+   two [Sim.t]s run on two domains at once, each fiber still wakes
+   exactly at the multiples of its own delay. *)
+let test_handler_per_domain () =
+  let sims = 2 and fibers = 8 and steps = 2_000 in
+  let run s =
+    let sim = Sim.create () in
+    let bad = ref 0 and done_ = ref 0 in
     for f = 1 to fibers do
       let d = float_of_int ((s * fibers) + f) in
-      Shard.spawn t s (fun () ->
+      Sim.spawn sim (fun () ->
           for k = 1 to steps do
             Sim.delay d;
-            if Sim.clock () <> float_of_int k *. d then bad.(s) <- bad.(s) + 1
+            if Sim.clock () <> float_of_int k *. d then incr bad
           done;
-          done_.(s) <- done_.(s) + 1)
-    done
-  done;
-  Shard.run ~domains:2 t;
-  Alcotest.(check (array int)) "every fiber finished" (Array.make shards fibers) done_;
-  Alcotest.(check (array int)) "no wake-up off its own schedule" (Array.make shards 0) bad
+          incr done_)
+    done;
+    Sim.run sim;
+    (!done_, !bad)
+  in
+  let results = Bmhive.Parallel.map ~jobs:2 run (List.init sims Fun.id) in
+  Alcotest.(check (list int)) "every fiber finished" (List.init sims (fun _ -> fibers))
+    (List.map fst results);
+  Alcotest.(check (list int)) "no wake-up off its own schedule" (List.init sims (fun _ -> 0))
+    (List.map snd results)
 
 let test_handler_effects_outside_raise () =
   Alcotest.check_raises "delay" Sim.Not_in_simulation (fun () -> Sim.delay 1.0);
@@ -1643,7 +1616,7 @@ let handler_suites =
     ( "engine.handler",
       [
         Alcotest.test_case "nested simulators" `Quick test_handler_nested_sims;
-        Alcotest.test_case "one handler per shard domain" `Quick test_handler_per_shard_domain;
+        Alcotest.test_case "one handler per simulator domain" `Quick test_handler_per_domain;
         Alcotest.test_case "effects outside a fiber raise" `Quick
           test_handler_effects_outside_raise;
         Alcotest.test_case "resume twice raises" `Quick test_handler_resume_twice;

@@ -201,27 +201,32 @@ let outcome_fingerprint (o : Bmhive.Experiments.outcome) =
   ^ "\n"
   ^ String.concat "\n" o.Bmhive.Experiments.notes
 
-let run_vf_experiment ~id ~seed ~shards =
+let run_vf_experiment ~id ~seed =
   let spec = Option.get (Bmhive.Experiments.find id) in
-  spec.Bmhive.Experiments.run { Bmhive.Experiments.default with quick = true; seed; shards }
+  spec.Bmhive.Experiments.run { Bmhive.Experiments.default with quick = true; seed }
 
 let prop_experiment_determinism =
   QCheck.Test.make ~name:"vf experiments: same seed => identical outcome" ~count:4
     QCheck.(pair (int_bound 999) (int_bound 2))
     (fun (seed, which) ->
       let id = List.nth [ "vf_scale"; "vf_reassign"; "vf_ablation" ] which in
-      let a = run_vf_experiment ~id ~seed ~shards:1 in
-      let b = run_vf_experiment ~id ~seed ~shards:1 in
+      let a = run_vf_experiment ~id ~seed in
+      let b = run_vf_experiment ~id ~seed in
       outcome_fingerprint a = outcome_fingerprint b)
 
-let prop_shard_invariance =
-  QCheck.Test.make ~name:"vf experiments: output independent of shards" ~count:3
+(* A single target gets the whole --jobs budget for its own cells. *)
+let run_with_jobs ~id ~seed ~jobs =
+  let ctx = { Bmhive.Experiments.default with quick = true; seed; jobs } in
+  match Bmhive.Experiments.run ctx [ id ] with
+  | [ (_, Ok o) ] -> outcome_fingerprint o
+  | _ -> QCheck.Test.fail_reportf "%s did not run" id
+
+let prop_jobs_invariance =
+  QCheck.Test.make ~name:"vf experiments: output independent of jobs" ~count:3
     QCheck.(pair (int_bound 999) (int_bound 2))
     (fun (seed, which) ->
       let id = List.nth [ "vf_scale"; "vf_reassign"; "vf_ablation" ] which in
-      let a = run_vf_experiment ~id ~seed ~shards:1 in
-      let b = run_vf_experiment ~id ~seed ~shards:4 in
-      outcome_fingerprint a = outcome_fingerprint b)
+      run_with_jobs ~id ~seed ~jobs:1 = run_with_jobs ~id ~seed ~jobs:4)
 
 (* Hot-reassignment under load: every accepted descriptor is delivered
    exactly once — no loss, no duplicates — regardless of how many
@@ -387,7 +392,7 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           prop_experiment_determinism;
-          prop_shard_invariance;
+          prop_jobs_invariance;
           prop_no_loss_no_dup;
           prop_fsm_conservation;
           prop_sched_vf_accounting;
