@@ -30,7 +30,7 @@ let ctx_term flags =
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List every reproducible experiment (one per table/figure).")
-    Term.(const Bmhive.Cli.print_list $ const ())
+    Term.(const (fun () -> Bmhive.Cli.print_list (); 0) $ const ())
 
 (* --- run ------------------------------------------------------------ *)
 
@@ -39,16 +39,25 @@ let run_cmd =
     let doc = "Experiment ids (see $(b,list)); all when omitted." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
+  (* A bad flag is a usage error (cmdliner's exit 124); an experiment
+     that rejects its target or settings exits 1, as bench/main.exe
+     does. *)
   let run ctx ids =
     match ctx with
     | Error e -> `Error (true, e)
     | Ok ctx -> (
       match Bmhive.Cli.print_results ctx (Bmhive.Experiments.run ctx ids) with
-      | Ok () -> `Ok ()
-      | Error e -> `Error (false, e))
+      | Ok () -> `Ok 0
+      | Error e ->
+        prerr_endline e;
+        `Ok 1)
+  in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on an unknown experiment id or a setting an experiment rejects."
+    :: Cmd.Exit.defaults
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Regenerate the paper's tables and figures from the simulation.")
+    (Cmd.info "run" ~exits ~doc:"Regenerate the paper's tables and figures from the simulation.")
     Term.(ret (const run $ ctx_term Bmhive.Cli.flags $ ids_arg))
 
 (* --- catalogue ------------------------------------------------------ *)
@@ -60,7 +69,7 @@ let catalogue_cmd =
       Bmhive.Instances.catalogue
   in
   Cmd.v (Cmd.info "catalogue" ~doc:"Print the bare-metal instance catalogue (Table 3).")
-    Term.(const run $ const ())
+    Term.(const (fun () -> run (); 0) $ const ())
 
 (* --- demo ----------------------------------------------------------- *)
 
@@ -87,7 +96,7 @@ let demo_cmd =
             Printf.printf "cloud storage: %.0fus avg over 100 reads\n" (!lat /. 100.0 /. 1e3));
       Testbed.run tb;
       print_endline "demo done.";
-      `Ok ())
+      `Ok 0)
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Provision a bm-guest, boot it, and run a little I/O.")
@@ -99,4 +108,4 @@ let demo_cmd =
 let () =
   let doc = "BM-Hive (ASPLOS '20) reproduction: high-density multi-tenant bare-metal cloud" in
   let info = Cmd.info "bmhive" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; catalogue_cmd; demo_cmd ]))
+  exit (Cmd.eval' (Cmd.group info [ list_cmd; run_cmd; catalogue_cmd; demo_cmd ]))

@@ -153,6 +153,9 @@ let release_slot q slot =
   q.free.(q.nfree) <- slot;
   q.nfree <- q.nfree + 1
 
+(* Its slot is past every slot table, so [cancel] never looks it up. *)
+let no_handle = { slot = max_int; seq = min_int }
+
 let add_handle q ~time ~seq value =
   let slot = take_slot q in
   push q ~time ~seq ~slot value;
@@ -189,10 +192,11 @@ let cancel q { slot; seq } =
 (* {2 Zero-allocation run-loop accessors}
 
    The simulator's inner loop never materializes a (time, seq, value)
-   tuple: it asks [min_le] (a bool), reads [min_time] (small enough for
-   cross-module inlining, so the float stays unboxed at the use site)
-   and takes the payload alone with [pop_min]. All three are undefined
-   on an empty queue — the caller checks [length] first. *)
+   tuple: it asks [min_le] (a bool), reads [min_time] and takes the
+   payload alone with [pop_min]. [min_time] returns a boxed float
+   unless the caller's build inlines across modules, which dune's dev
+   profile does not ([-opaque]). All three are undefined on an empty
+   queue — the caller checks [length] first. *)
 
 let[@inline] min_time q = q.times.(0)
 let[@inline] min_seq q = q.seqs.(0)

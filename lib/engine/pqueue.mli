@@ -39,6 +39,10 @@ val add_handle : 'a t -> time:float -> seq:int -> 'a -> handle
     entry leaves the queue); growing the slot table or allocating the
     handle are its only allocations. *)
 
+val no_handle : handle
+(** A handle that names no entry: {!cancel} with it returns [false].
+    A placeholder for a record field that is set before use. *)
+
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] removes [h]'s entry and releases its payload, returning
     [true]; it returns [false] and changes nothing when [h] is stale —

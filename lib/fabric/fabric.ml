@@ -17,7 +17,7 @@ and link = {
   queue : job Sim.Bounded.bounded;
   depth : Stats.Histogram.t;
   mutable up : bool;  (* a down link drops everything offered to it *)
-  mutable busy_ns : float;  (* time spent serializing bursts *)
+  busy_ns : float array;  (* one flat cell: time spent serializing bursts *)
   mutable delivered_pkts : int;
   mutable dropped_pkts : int;
   mutable delivered_bytes : int;
@@ -103,7 +103,7 @@ let drain_link fab link =
     let job = Sim.Bounded.recv link.queue in
     let wire = serialize_ns link.params job.pkt.size in
     Sim.delay wire;
-    link.busy_ns <- link.busy_ns +. wire;
+    link.busy_ns.(0) <- link.busy_ns.(0) +. wire;
     link.delivered_pkts <- link.delivered_pkts + job.pkt.count;
     link.delivered_bytes <- link.delivered_bytes + job.pkt.size;
     (match Obs.metrics fab.obs with
@@ -124,7 +124,7 @@ let mk_link name params =
         ~policy:Sim.Bounded.Drop_tail ();
     depth = Stats.Histogram.create ~lo:1.0 ~hi:1e4 ();
     up = true;
-    busy_ns = 0.0;
+    busy_ns = [| 0.0 |];
     delivered_pkts = 0;
     dropped_pkts = 0;
     delivered_bytes = 0;
@@ -301,7 +301,7 @@ let link_stat ~elapsed (l : link) =
   {
     name = l.name;
     gbit_s = l.params.gbit_s;
-    utilization = (if elapsed > 0.0 then l.busy_ns /. elapsed else 0.0);
+    utilization = (if elapsed > 0.0 then l.busy_ns.(0) /. elapsed else 0.0);
     depth_p99 =
       (if Stats.Histogram.count l.depth = 0 then 0.0
        else Stats.Histogram.percentile l.depth 99.0);

@@ -173,10 +173,19 @@ module Live = struct
     let f = cfg.bm_fraction in
     int_of_float (f *. float_of_int (i + 1)) > int_of_float (f *. float_of_int i)
 
+  let validate ?topo cfg =
+    let fail fmt = Printf.ksprintf (fun m -> Error ("Fleet.Live.build: " ^ m)) fmt in
+    if cfg.hosts < 2 then fail "hosts must be >= 2"
+    else if cfg.guests < 1 then fail "guests must be >= 1"
+    else if cfg.tenants < 1 then fail "tenants must be >= 1"
+    else
+      match topo with
+      | Some topo when topo.Bm_fabric.Topology.hosts < cfg.hosts ->
+        fail "topology has %d hosts, the fleet needs %d" topo.Bm_fabric.Topology.hosts cfg.hosts
+      | Some _ | None -> Ok ()
+
   let build ?trace ?metrics ?topo ~seed cfg =
-    if cfg.hosts < 2 then invalid_arg "Fleet.Live.build: hosts must be >= 2";
-    if cfg.guests < 1 then invalid_arg "Fleet.Live.build: guests must be >= 1";
-    if cfg.tenants < 1 then invalid_arg "Fleet.Live.build: tenants must be >= 1";
+    Result.iter_error invalid_arg (validate ?topo cfg);
     let root = Rng.create ~seed in
     let fabric_rng = Rng.split root in
     let class_rng = Rng.split root in
@@ -184,13 +193,7 @@ module Live = struct
     let sim = Sim.create () in
     let obs = Obs.create ?trace ?metrics ~now:(fun () -> Sim.now sim) () in
     let topo =
-      match topo with
-      | Some topo when topo.Bm_fabric.Topology.hosts < cfg.hosts ->
-        invalid_arg
-          (Printf.sprintf "Fleet.Live.build: topology has %d hosts, the fleet needs %d"
-             topo.Bm_fabric.Topology.hosts cfg.hosts)
-      | Some topo -> topo
-      | None -> Bm_fabric.Topology.for_hosts ~hosts:cfg.hosts ()
+      match topo with Some topo -> topo | None -> Bm_fabric.Topology.for_hosts ~hosts:cfg.hosts ()
     in
     let fabric = Fabric.create ~obs sim fabric_rng topo in
     let cp = Cp.create () in

@@ -89,6 +89,11 @@ module Live : sig
 
   type t
 
+  val validate : ?topo:Bm_fabric.Topology.t -> config -> (unit, string) result
+  (** What {!build} would reject, as an [Error] naming it: fewer than 2
+      hosts, no guests, no tenants, or a [topo] with fewer hosts than
+      [config.hosts]. Builds nothing. *)
+
   val build :
     ?trace:Bm_engine.Trace.t ->
     ?metrics:Bm_engine.Metrics.t ->
@@ -103,7 +108,8 @@ module Live : sig
       whole population first-fit-decreasing. Every 33rd guest requests
       bare metal; three of every 25 guests form an anti-affinity group.
       Same [seed] + [config] ⇒ identical fleet, byte for byte. Raises
-      [Invalid_argument] if [topo] has fewer hosts than [config.hosts]. *)
+      [Invalid_argument] with {!validate}'s message on a [config] or
+      [topo] it rejects. *)
 
   val sim : t -> Bm_engine.Sim.t
   val fabric : t -> Bm_fabric.Fabric.t

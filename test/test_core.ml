@@ -203,10 +203,11 @@ let test_run_many_jobs_invariant () =
   check_bool "identical outcomes for any job count" true (r1 = r3);
   Alcotest.(check (list string)) "argument order" ids (List.map fst r1)
 
+(* An unknown id fails the whole run up front: table1 does not run. *)
 let test_run_many_unknown_id () =
   match Experiments.run_many ~quick:true ~jobs:2 [ "table1"; "nonsense" ] with
-  | [ ("table1", Ok _); ("nonsense", Error _) ] -> ()
-  | _ -> Alcotest.fail "unknown id must surface as Error without aborting the rest"
+  | [ ("nonsense", Error _) ] -> ()
+  | _ -> Alcotest.fail "unknown id must surface as Error before anything runs"
 
 (* A single target hands the whole --jobs budget to its own arms: the
    game-day open/closed-loop pair and the policy race's entrants must
@@ -232,14 +233,30 @@ let test_fleet_rejects_small_topology () =
   Alcotest.check_raises "build raises"
     (Invalid_argument "Fleet.Live.build: topology has 4 hosts, the fleet needs 60") (fun () ->
       ignore (Bm_hyp.Fleet.Live.build ~topo ~seed:1 Bm_hyp.Fleet.Live.quick_config));
-  match
-    Experiments.run
-      { Experiments.default with quick = true; topo = Some topo }
-      [ "table1"; "fleet_scale" ]
-  with
-  | [ ("table1", Ok _); ("fleet_scale", Error e) ] ->
+  let quick = { Experiments.default with quick = true } in
+  check_bool "validate agrees with build" true
+    (Bm_hyp.Fleet.Live.validate ~topo Bm_hyp.Fleet.Live.quick_config
+    = Error "Fleet.Live.build: topology has 4 hosts, the fleet needs 60");
+  check_bool "a fleet that fits passes" true
+    (Bm_hyp.Fleet.Live.validate ~topo { Bm_hyp.Fleet.Live.quick_config with hosts = 4 } = Ok ());
+  (* Every target is checked before any runs: table1 comes first but
+     neither runs nor appears, only the rejected target does. *)
+  (match Experiments.run { quick with topo = Some topo } [ "table1"; "fleet_scale" ] with
+  | [ ("fleet_scale", Error e) ] ->
     check_bool "error names the topology" true (Astring.String.is_infix ~affix:"topology" e)
-  | _ -> Alcotest.fail "a too-small topology must surface as fleet_scale's Error"
+  | _ -> Alcotest.fail "a too-small topology must fail the run before table1 runs");
+  (match Experiments.run quick [ "table1"; "bogus"; "table2"; "nope" ] with
+  | [ ("bogus", Error e1); ("nope", Error e2) ] ->
+    check_bool "errors name the ids" true
+      (Astring.String.is_infix ~affix:"\"bogus\"" e1 && Astring.String.is_infix ~affix:"\"nope\"" e2)
+  | _ -> Alcotest.fail "unknown ids must fail the run before anything runs");
+  (* A topology is checked against the fleet that --hosts asks for. *)
+  match
+    Experiments.run { quick with topo = Some topo; hosts = Some 8 } [ "xhost_rr"; "fleet_scale" ]
+  with
+  | [ ("fleet_scale", Error e) ] ->
+    check_bool "error names the override" true (Astring.String.is_infix ~affix:"needs 8" e)
+  | _ -> Alcotest.fail "the check must use the --hosts override"
 
 let suites =
   [
