@@ -96,6 +96,8 @@ let serve t ~op ~bytes_ =
     `Rejected
   end
   else begin
+    (* Not [Resource.hold]: the service time is drawn once a server is
+       granted, so the RNG is read in grant order. *)
     Sim.Resource.with_resource t.servers (fun () -> Sim.delay (media_time t ~op ~bytes_));
     Sim.delay (p.net_rtt_ns /. 2.0);
     t.served <- t.served + 1;

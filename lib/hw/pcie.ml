@@ -55,7 +55,7 @@ let transfer t ~bytes_ =
     if remaining > 0 then begin
       stall_if_link_down t;
       let n = min remaining t.mtu_bytes in
-      Sim.Resource.with_resource t.wire (fun () -> Sim.delay (transfer_time_ns t ~bytes_:n));
+      Sim.Resource.hold t.wire (transfer_time_ns t ~bytes_:n);
       t.bytes_moved <- t.bytes_moved +. float_of_int n;
       chunks (remaining - n)
     end
