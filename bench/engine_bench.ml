@@ -9,7 +9,8 @@
    Six sections:
      hot_lane   events/sec of zero-delay self-rescheduling callbacks
                 (FIFO hot lane) vs the same chains with a 1 ns delay
-                (binary-heap lane)
+                (binary-heap lane), and the heap lane again at
+                512 chains, nginx_c400's agenda depth
      timer      host ns per Sim.schedule_timer + Sim.cancel pair with a
                 window of outstanding timers, each op cancelling the
                 oldest (the RPC deadline pattern)
@@ -71,7 +72,7 @@ let time f =
 (* [chains] outstanding callbacks, each rescheduling itself with the
    given delay until the shared budget drains. delay=0 keeps every event
    in the FIFO hot lane; delay=1 ns forces every event through the
-   binary heap at ~10k occupancy. *)
+   binary heap at [chains] occupancy. *)
 (* Cumulative words allocated by this domain so far: the minor counter
    plus direct major allocations, net of promotions (which would double
    count). Exact — no GC needs to run for the counters to be current. *)
@@ -247,6 +248,12 @@ let () =
   let hot_eps, hot_events, hot_s, hot_wpe = lane_events_per_sec ~delay:0.0 ~chains ~events in
   progress "heap lane";
   let heap_eps, heap_events, heap_s, heap_wpe = lane_events_per_sec ~delay:1.0 ~chains ~events in
+  (* nginx_c400's agenda: heap depth mean 481, peak 538. *)
+  let shallow_chains = 512 in
+  progress "heap lane: %d chains" shallow_chains;
+  let shallow_eps, shallow_events, shallow_s, _ =
+    lane_events_per_sec ~delay:1.0 ~chains:shallow_chains ~events
+  in
   let timer_window = 1_024 in
   let timer_n = if !quick then 200_000 else 2_000_000 in
   progress "timers: %d ops, window %d" timer_n timer_window;
@@ -284,6 +291,8 @@ let () =
     hot_events hot_s hot_eps;
   p "    \"heap\": { \"events\": %d, \"wall_s\": %.4f, \"events_per_sec\": %.0f },\n" heap_events
     heap_s heap_eps;
+  p "    \"heap_%d\": { \"chains\": %d, \"events\": %d, \"wall_s\": %.4f, \"events_per_sec\": %.0f },\n"
+    shallow_chains shallow_chains shallow_events shallow_s shallow_eps;
   p "    \"speedup\": %.2f\n" (hot_eps /. heap_eps);
   p "  },\n";
   p "  \"timer\": {\n";

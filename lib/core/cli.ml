@@ -113,6 +113,13 @@ let print_list () =
     (fun (s : spec) -> Printf.printf "%-10s %-10s %s\n" s.id s.paper_ref s.title)
     Experiments.all
 
+let trace_line t file =
+  let dropped = Trace.dropped t in
+  Printf.sprintf "trace: %d event(s) written to %s%s (open in chrome://tracing)"
+    (List.length (Trace.events t))
+    file
+    (if dropped > 0 then Printf.sprintf ", %d earlier event(s) dropped" dropped else "")
+
 let print_results ctx results =
   let rec outcomes = function
     | [] -> Ok ()
@@ -131,8 +138,6 @@ let print_results ctx results =
       match (ctx.trace, ctx.trace_file) with
       | Some t, Some file ->
         Out_channel.with_open_text file (fun oc -> output_string oc (Trace.export_json t));
-        Printf.printf "\ntrace: %d event(s) written to %s (open in chrome://tracing)\n"
-          (List.length (Trace.events t))
-          file
+        Printf.printf "\n%s\n" (trace_line t file)
       | _ -> ())
     (outcomes results)

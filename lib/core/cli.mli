@@ -29,6 +29,11 @@ val dashed : string -> string
 val print_list : unit -> unit
 (** One line per registered experiment: id, paper reference, title. *)
 
+val trace_line : Bm_engine.Trace.t -> string -> string
+(** [trace_line t file] is the line {!print_results} reports the trace
+    export with: the events written to [file] and, when the ring
+    wrapped, how many earlier events it dropped. *)
+
 val print_results :
   Experiments.ctx -> (string * (Experiments.outcome, string) result) list -> (unit, string) result
 (** Print the outcomes in order, then the metrics table and the trace

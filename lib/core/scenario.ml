@@ -174,8 +174,11 @@ let parse_spec s =
           let vfstall_rng = Rng.split root in
           let vfwedge_rng = Rng.split root in
           let band rng lo hi = Rng.uniform rng ~lo:(lo *. h) ~hi:(hi *. h) in
-          let tl = ref (if !use_default then default_timeline h else []) in
-          let add e = tl := !tl @ e in
+          (* Entries accumulate in reverse and are turned round once at
+             the end: appending to the tail would make a spec with n
+             entries cost O(n^2). *)
+          let tl = ref (if !use_default then List.rev (default_timeline h) else []) in
+          let add e = tl := List.rev_append e !tl in
           Option.iter (fun (lo, hi) -> add (ramp ~from_ns:0.0 ~until_ns:h ~lo ~hi ())) !ramp_opt;
           for k = 0 to !hosts - 1 do
             add (at (band host_rng 0.15 0.45) (Host_fail { victim = k; duration_ns = 0.55 *. h }))
@@ -198,7 +201,7 @@ let parse_spec s =
           for _ = 1 to !vfwedges do
             add (at (band vfwedge_rng 0.30 0.65) (Vf_wedge { duration_ns = 0.05 *. h }))
           done;
-          Ok (make ~seed ~horizon_ns:h !tl)
+          Ok (make ~seed ~horizon_ns:h (List.rev !tl))
       end))
 
 (* --- running -------------------------------------------------------- *)

@@ -1,14 +1,17 @@
 (** Minimum priority queue on [(time, sequence)] keys.
 
-    An array-backed binary heap in structure-of-arrays layout: times in
-    a flat unboxed float array, sequence numbers in an int array, and
-    payloads in a third — so {!add} and {!pop_min} allocate nothing.
-    Ties on [time] are broken by an insertion sequence number supplied
-    by the caller, which makes event ordering — and therefore whole
-    simulations — deterministic.
+    A binary heap whose arrays hold only the key — times in a flat
+    unboxed float array, sequence numbers in an int array — and a slot
+    number per entry. Payloads live in a slot table: each is written
+    once by {!add} and read and released once by {!pop_min} or
+    {!cancel}, so a sift moves no pointer and pays no GC write barrier,
+    and {!add} and {!pop_min} allocate nothing. Ties on [time] are
+    broken by an insertion sequence number supplied by the caller, which
+    makes event ordering — and therefore whole simulations —
+    deterministic.
 
-    Slots beyond the live size are nulled out, so popped values (event
-    closures, i.e. whole fibers) never outlive their pop.
+    A popped, cancelled or cleared entry's payload is released at once,
+    so event closures (i.e. whole fibers) never outlive their pop.
 
     Entries added with {!add_handle} can also be removed before they
     reach the top, in O(log n), through the {!handle} they return. *)
@@ -16,9 +19,9 @@
 type 'a t
 
 type handle
-(** Names one {!add_handle} entry for {!cancel}: the entry's slot in a
-    side table plus its sequence number. Immutable; stale once the entry
-    has been popped, cancelled or cleared. *)
+(** Names one {!add_handle} entry for {!cancel}: the entry's slot plus
+    its sequence number. Immutable; stale once the entry has been
+    popped, cancelled or cleared. *)
 
 val create : unit -> 'a t
 (** [create ()] is an empty queue. *)
@@ -27,17 +30,17 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
-(** Current backing-array capacity (exposed for tests and benchmarks). *)
+(** Current backing-array capacity, shared by the heap and the slot
+    table (exposed for tests and benchmarks). *)
 
 val add : 'a t -> time:float -> seq:int -> 'a -> unit
-(** [add q ~time ~seq v] inserts [v] with priority [(time, seq)].
+(** [add q ~time ~seq v] inserts [v] with priority [(time, seq)]. The
+    entry takes a free slot (reused after the entry leaves the queue).
     Allocation-free except when the backing arrays double. *)
 
 val add_handle : 'a t -> time:float -> seq:int -> 'a -> handle
 (** [add_handle q ~time ~seq v] is {!add} that also returns a handle for
-    {!cancel}. The entry takes a slot from a free-list (reused after the
-    entry leaves the queue); growing the slot table or allocating the
-    handle are its only allocations. *)
+    {!cancel}; the handle is its only allocation beyond {!add}'s. *)
 
 val no_handle : handle
 (** A handle that names no entry: {!cancel} with it returns [false].
@@ -56,8 +59,7 @@ val cancel : 'a t -> handle -> bool
     All three are undefined on an empty queue; check {!length} first. *)
 
 val min_time : 'a t -> float
-(** Time of the minimum element. Small enough to inline cross-module,
-    so the float stays unboxed at a comparison use site. *)
+(** Time of the minimum element. *)
 
 val min_seq : 'a t -> int
 (** Sequence number of the minimum element. *)

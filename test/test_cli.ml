@@ -78,6 +78,25 @@ let test_fields () =
     "trace file" (Some (Filename.concat tmp "t.json"))
     (parse "trace" (Filename.concat tmp "t.json")).trace_file
 
+(* The trace line names the events a wrapped ring dropped, and says
+   nothing of drops when there were none. *)
+let test_trace_line () =
+  let t = Bm_engine.Trace.create ~capacity:4 () in
+  let emit n =
+    for i = 1 to n do
+      Bm_engine.Trace.instant t ~track:"cli" "e" ~now:(float_of_int i)
+    done
+  in
+  emit 3;
+  Alcotest.(check string)
+    "no drops" "trace: 3 event(s) written to t.json (open in chrome://tracing)"
+    (Cli.trace_line t "t.json");
+  emit 7;
+  Alcotest.(check string)
+    "drops reported"
+    "trace: 4 event(s) written to t.json, 6 earlier event(s) dropped (open in chrome://tracing)"
+    (Cli.trace_line t "t.json")
+
 let suites =
   [
     ( "core.cli",
@@ -85,5 +104,6 @@ let suites =
         Alcotest.test_case "every flag has a case" `Quick test_table_covered;
         Alcotest.test_case "good values parse, bad values are errors" `Quick test_values;
         Alcotest.test_case "flags set their fields" `Quick test_fields;
+        Alcotest.test_case "trace line reports drops" `Quick test_trace_line;
       ] );
   ]

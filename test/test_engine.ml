@@ -98,8 +98,8 @@ let test_pqueue_clear_keeps_capacity () =
   check_bool "no_handle cancels nothing" false (Pqueue.cancel q Pqueue.no_handle);
   check_int "entry still queued" 1 (Pqueue.length q)
 
-(* Popped (and cleared) entries must not pin their values: slots past
-   [size] are overwritten with a dummy, so the GC can collect fibers of
+(* Popped (and cleared) entries must not pin their values: a freed
+   slot is overwritten with a dummy, so the GC can collect fibers of
    completed events even while the queue object itself stays live. *)
 let test_pqueue_releases_popped_values () =
   let q = Pqueue.create () in
@@ -210,15 +210,17 @@ let test_pqueue_cancel_releases_value () =
    cancels and clears against the sorted list. Every handle is kept, so
    cancels also hit stale handles — entry popped, cancelled or cleared,
    slot possibly reused by a newer entry — which must return false and
-   change nothing. *)
+   change nothing. Bursts of 70 handle adds (one always comes first)
+   hold more than 64 entries live, so the slot table grows under live
+   entries, and handles taken before a growth are cancelled after it. *)
 let prop_pqueue_cancel_model =
   QCheck.Test.make ~name:"pqueue with cancel matches sorted-list reference" ~count:300
-    QCheck.(list (pair (int_bound 19) (int_bound 50)))
+    QCheck.(list (triple (int_bound 20) (int_bound 50) small_nat))
     (fun ops ->
       let q = Pqueue.create () in
       let model = ref [] in
       let seq = ref 0 in
-      let handles = ref [||] in
+      let handles = Hashtbl.create 64 in
       let ok = ref true in
       let expect b = if not b then ok := false in
       let pop_model () =
@@ -229,25 +231,30 @@ let prop_pqueue_cancel_model =
           Some x
       in
       let model_add time s = model := List.merge compare !model [ (time, s, s) ] in
+      let add_handle time =
+        incr seq;
+        let h = Pqueue.add_handle q ~time ~seq:!seq !seq in
+        Hashtbl.replace handles (Hashtbl.length handles) (h, !seq);
+        model_add time !seq
+      in
       List.iter
-        (fun (op, x) ->
+        (fun (op, x, pick) ->
           let time = float_of_int (x / 10) in
           if op < 5 then begin
             incr seq;
             Pqueue.add q ~time ~seq:!seq !seq;
             model_add time !seq
           end
-          else if op < 10 then begin
-            incr seq;
-            let h = Pqueue.add_handle q ~time ~seq:!seq !seq in
-            handles := Array.append !handles [| (h, !seq) |];
-            model_add time !seq
-          end
+          else if op < 10 then add_handle time
+          else if op = 20 then
+            for k = 1 to 70 do
+              add_handle (float_of_int ((x + k) mod 7))
+            done
           else if op < 14 then expect (Pqueue.pop q = pop_model ())
           else if op < 19 then begin
-            let n = Array.length !handles in
+            let n = Hashtbl.length handles in
             if n > 0 then begin
-              let h, s = !handles.(x mod n) in
+              let h, s = Hashtbl.find handles (pick mod n) in
               let live = List.exists (fun (_, s', _) -> s' = s) !model in
               expect (Pqueue.cancel q h = live);
               model := List.filter (fun (_, s', _) -> s' <> s) !model
@@ -258,7 +265,7 @@ let prop_pqueue_cancel_model =
             model := []
           end;
           expect (Pqueue.length q = List.length !model))
-        ops;
+        ((20, 0, 0) :: ops);
       let rec drain () =
         match Pqueue.pop q with
         | None -> expect (pop_model () = None)

@@ -107,6 +107,18 @@ let test_parse_spec_streams_independent () =
   Alcotest.(check (list (float 0.0)))
     "host times unmoved" (host_times "11:hosts=2") (host_times "11:hosts=2,links=3")
 
+(* A spec's entries are collected in linear time: 80,000 of them parse
+   well inside a generous bound (appending each kind's entries to the
+   tail took minutes at this size). *)
+let test_parse_spec_linear () =
+  let t0 = Sys.time () in
+  match Scenario.parse_spec "1:hosts=40000,links=40000" with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    let dt = Sys.time () -. t0 in
+    check_int "every entry" 80_000 (List.length s.Scenario.timeline);
+    check_bool (Printf.sprintf "parsed in %.2f s (bound 2 s)" dt) true (dt < 2.0)
+
 let test_render_deterministic () =
   let r spec_s =
     match Scenario.parse_spec spec_s with Error e -> Alcotest.fail e | Ok s -> Scenario.render s
@@ -405,6 +417,7 @@ let suites =
         Alcotest.test_case "per-kind streams independent" `Quick
           test_parse_spec_streams_independent;
         Alcotest.test_case "render deterministic" `Quick test_render_deterministic;
+        Alcotest.test_case "large spec parses in linear time" `Quick test_parse_spec_linear;
       ] );
     ( "scenario.slo",
       [
